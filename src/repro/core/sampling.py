@@ -6,7 +6,9 @@ resulting DataFrame is cached and counted (the local stand-in for the
 paper's ``CREATE TABLE ... AS SELECT`` materialisation; a lazy view over
 ``rand()`` would silently re-draw the sample on every use) and
 registered as a temp view whose name the planner receives via
-:class:`~repro.core.catalog.SampleMeta`.
+:class:`~repro.core.catalog.SampleMeta`. That view reads the cached rows
+in :func:`view_partitions` partitions; the cached data itself stays
+registered under :func:`cached_view` so :func:`drop_sample` can free it.
 
 Each sample table is the base table plus one extra column,
 ``verdict_prob`` — the per-tuple inclusion probability (Section 3.1).
@@ -19,8 +21,9 @@ so tests are reproducible for a fixed session/partitioning.
 from __future__ import annotations
 
 import itertools
+import math
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from .catalog import HASHED, STRATIFIED, UNIFORM, SampleCatalog, SampleMeta
 from .staircase import DEFAULT_DELTA, staircase_case_sql, staircase_steps
@@ -36,19 +39,49 @@ def _fresh_view(table: str, kind: str) -> str:
     return f"{table}__{kind}_{next(_view_counter)}"
 
 
-def _materialise(spark: SparkSession, sql: str, view: str) -> tuple[DataFrame, int]:
-    # Samples are small by construction (a few % of the base table);
-    # coalescing avoids dragging the base table's partition count — and
-    # its per-task scheduling overhead — into every rewritten query.
-    df = spark.sql(sql).coalesce(4)
-    df = df.cache()
-    rows = df.count()
-    df.createOrReplaceTempView(view)
-    return df, rows
+def cached_view(view: str) -> str:
+    """Name of the temp view over the cached rows behind ``view``."""
+    return f"{view}_cached"
 
 
-def _count(spark: SparkSession, table: str) -> int:
-    return spark.sql(f"SELECT count(*) AS n FROM {table}").collect()[0]["n"]
+def view_partitions(rows: int, base_rows: int, base_partitions: int) -> int:
+    """Partitions of a sample view: as many rows per task as the scan of
+    its base table, and at least one.
+
+    A sample of a few % of its table then fits in one partition, where
+    Spark plans no exchange for the rewrite's aggregates, sample–sample
+    joins or ORDER BY; a large sample of a table with thousands of
+    splits still spreads over tens of tasks.
+    """
+    if base_rows <= 0:
+        return 1
+    return max(1, math.ceil(rows * base_partitions / base_rows))
+
+
+def _materialise(
+    spark: SparkSession, sql: str, view: str, base: tuple[int, int]
+) -> int:
+    """Cache ``sql``'s rows, register them as ``view`` and return their
+    count. ``base`` is the base table's (rows, scan partitions).
+
+    The rows are cached at the source query's parallelism, so a build
+    scans its base table in parallel and every ``rand()`` filter sees
+    the source partitions. Only the view is coalesced, to
+    :func:`view_partitions` partitions; coalescing before the cache
+    would push the whole base scan into those few tasks.
+    """
+    data = spark.sql(sql).cache()
+    rows = data.count()
+    data.createOrReplaceTempView(cached_view(view))
+    data.coalesce(view_partitions(rows, *base)).createOrReplaceTempView(view)
+    return rows
+
+
+def _base(spark: SparkSession, table: str, rows: int | None) -> tuple[int, int]:
+    """(rows, scan partitions) of ``table``; counts only if ``rows`` is None."""
+    if rows is None:
+        rows = spark.sql(f"SELECT count(*) AS n FROM {table}").collect()[0]["n"]
+    return rows, spark.table(table).rdd.getNumPartitions()
 
 
 def hash01_expr(cols: tuple[str, ...], salt: int = 0) -> str:
@@ -68,16 +101,21 @@ def create_uniform_sample(
     ratio: float = 0.01,
     seed: int | None = None,
     catalog: SampleCatalog | None = None,
+    base_rows: int | None = None,
 ) -> SampleMeta:
-    """Bernoulli sample: every tuple kept independently with prob ``ratio``."""
+    """Bernoulli sample: every tuple kept independently with prob ``ratio``.
+
+    Every builder counts ``table`` unless the caller passes ``base_rows``.
+    """
+    base = _base(spark, table, base_rows)
     view = _fresh_view(table, "uniform")
     rand = f"rand({seed})" if seed is not None else "rand()"
     sql = (
         f"SELECT *, CAST({ratio!r} AS DOUBLE) AS verdict_prob "
         f"FROM {table} WHERE {rand} < {ratio!r}"
     )
-    _, rows = _materialise(spark, sql, view)
-    meta = SampleMeta(table, view, UNIFORM, (), ratio, rows, _count(spark, table))
+    rows = _materialise(spark, sql, view, base)
+    meta = SampleMeta(table, view, UNIFORM, (), ratio, rows, base[0])
     if catalog is not None:
         catalog.add(meta)
     return meta
@@ -90,6 +128,7 @@ def create_hashed_sample(
     *,
     ratio: float = 0.01,
     catalog: SampleCatalog | None = None,
+    base_rows: int | None = None,
 ) -> SampleMeta:
     """Universe sample on ``columns``: keep tuples whose hash falls below tau.
 
@@ -100,18 +139,19 @@ def create_hashed_sample(
     tuple), so the view is built in two steps: sample, count, then wrap
     with the literal probability column.
     """
-    base_rows = _count(spark, table)
+    base = _base(spark, table, base_rows)
     view = _fresh_view(table, "hashed")
     raw_view = view + "_raw"
     sql = f"SELECT * FROM {table} WHERE {hash01_expr(columns)} < {ratio!r}"
-    _, rows = _materialise(spark, sql, raw_view)
-    prob = rows / base_rows if base_rows else 0.0
+    rows = _materialise(spark, sql, raw_view, base)
+    prob = rows / base[0] if base[0] else 0.0
     _materialise(
         spark,
         f"SELECT *, CAST({prob!r} AS DOUBLE) AS verdict_prob FROM {raw_view}",
         view,
+        base,
     )
-    meta = SampleMeta(table, view, HASHED, tuple(columns), ratio, rows, base_rows)
+    meta = SampleMeta(table, view, HASHED, tuple(columns), ratio, rows, base[0])
     if catalog is not None:
         catalog.add(meta)
     return meta
@@ -127,6 +167,7 @@ def create_stratified_sample(
     delta: float = DEFAULT_DELTA,
     seed: int | None = None,
     catalog: SampleCatalog | None = None,
+    base_rows: int | None = None,
 ) -> SampleMeta:
     """Two-pass probabilistic stratified sample (Section 3.2).
 
@@ -138,16 +179,17 @@ def create_stratified_sample(
     no procedural SQL, fully parallelisable.
     """
     cols = ", ".join(columns)
-    base_rows = _count(spark, table)
-    temp_view = _fresh_view(table, "strata")
-    _materialise(
+    base = _base(spark, table, base_rows)
+    view = _fresh_view(table, "stratified")
+    temp_view = view + "_strata"
+    d = _materialise(
         spark,
         f"SELECT {cols}, count(*) AS strata_size FROM {table} GROUP BY {cols}",
         temp_view,
+        base,
     )
-    d = _count(spark, temp_view)
     if min_per_stratum is None:
-        m = max(1.0, base_rows * ratio / max(d, 1))
+        m = max(1.0, base[0] * ratio / max(d, 1))
     else:
         m = float(min_per_stratum)
     max_stratum = spark.sql(
@@ -158,24 +200,24 @@ def create_stratified_sample(
     )
     on = " AND ".join(f"t1.{c} = t2.{c}" for c in columns)
     rand = f"rand({seed})" if seed is not None else "rand()"
-    view = _fresh_view(table, "stratified")
     sql = (
         f"SELECT * FROM ("
         f"  SELECT t1.*, {case} AS verdict_prob"
         f"  FROM {table} t1 INNER JOIN {temp_view} t2 ON {on}"
         f") WHERE {rand} < verdict_prob"
     )
-    _, rows = _materialise(spark, sql, view)
-    meta = SampleMeta(table, view, STRATIFIED, tuple(columns), ratio, rows, base_rows)
+    rows = _materialise(spark, sql, view, base)
+    meta = SampleMeta(table, view, STRATIFIED, tuple(columns), ratio, rows, base[0])
     if catalog is not None:
         catalog.add(meta)
     return meta
 
 
 def drop_sample(spark: SparkSession, meta: SampleMeta) -> None:
-    """Unpersist and deregister a sample view (test hygiene)."""
-    try:
-        spark.table(meta.view).unpersist()
-    except Exception:
-        pass
-    spark.catalog.dropTempView(meta.view)
+    """Deregister a sample view and free everything its build cached:
+    the rows behind the view and behind the hashed ``_raw`` or the
+    stratified ``_strata`` step. Dropping a view of cached rows uncaches
+    them."""
+    for view in (meta.view, meta.view + "_raw", meta.view + "_strata"):
+        spark.catalog.dropTempView(cached_view(view))
+        spark.catalog.dropTempView(view)

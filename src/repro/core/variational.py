@@ -80,16 +80,3 @@ def h(i: int, j: int, b: int) -> int:
         raise ValueError(f"b={b} must be a perfect square")
     return (i - 1) // sq * sq + (j - 1) // sq + 1
 
-
-def subsample_scale_sql(
-    est_sql: str, sub_size_col: str = "sub_size", partition_by: str | None = None
-) -> str:
-    """Per-subsample unbiased scale-up used by the Appendix G template.
-
-    Wraps a raw per-(groups, sid) Horvitz–Thompson sum ``est_sql`` into
-    ``(est / sub_size) * sum(sub_size) over (partition by groups)`` —
-    the window scales each subsample's HT density up to the full sample,
-    making every subsample estimate unbiased for the base-table value.
-    """
-    over = f"PARTITION BY {partition_by}" if partition_by else ""
-    return f"(({est_sql}) / count(*)) * sum(count(*)) OVER ({over})"

@@ -87,29 +87,26 @@ class VerdictContext:
         self._card_cache: dict[tuple[str, tuple[str, ...]], int] = {}
 
     # ---- sample preparation (offline stage) ---------------------------
+    # Each builder gets the base table's count from _rows, so a sample
+    # set counts every base table once.
     def create_uniform_sample(self, table: str, ratio: float = 0.01, **kw):
-        meta = sampling.create_uniform_sample(
+        return sampling.create_uniform_sample(
             self.spark, table, ratio=ratio, catalog=self.catalog,
-            seed=kw.pop("seed", self.seed), **kw,
+            seed=kw.pop("seed", self.seed), base_rows=self._rows(table), **kw,
         )
-        self._base_rows[table] = meta.base_rows
-        return meta
 
     def create_hashed_sample(self, table: str, columns, ratio: float = 0.01, **kw):
-        meta = sampling.create_hashed_sample(
+        return sampling.create_hashed_sample(
             self.spark, table, tuple(columns), ratio=ratio,
-            catalog=self.catalog, **kw,
+            catalog=self.catalog, base_rows=self._rows(table), **kw,
         )
-        self._base_rows[table] = meta.base_rows
-        return meta
 
     def create_stratified_sample(self, table: str, columns, ratio: float = 0.01, **kw):
-        meta = sampling.create_stratified_sample(
+        return sampling.create_stratified_sample(
             self.spark, table, tuple(columns), ratio=ratio,
-            catalog=self.catalog, seed=kw.pop("seed", self.seed), **kw,
+            catalog=self.catalog, seed=kw.pop("seed", self.seed),
+            base_rows=self._rows(table), **kw,
         )
-        self._base_rows[table] = meta.base_rows
-        return meta
 
     def create_recommended_samples(
         self, table: str, *, target_rows: int = 10_000_000, top: int = 10
@@ -187,7 +184,9 @@ class VerdictContext:
             )
         res.latency_sec = time.perf_counter() - t0
         if res.violates(accuracy):
-            df = self._exact_df(q)
+            # rerun the user's text: the parsed query has lost the
+            # comparison subqueries that flatten() turned into views
+            df = self.spark.sql(query_text)
             res = ApproxResult(
                 df=df,
                 outputs=tuple(AggOutput(a.alias, None) for a in q.aggs),
@@ -204,8 +203,11 @@ class VerdictContext:
 
     # ---- internals -----------------------------------------------------
     def _rows(self, table: str) -> int:
+        """Rows of a base table: a sample's recorded count when the
+        catalog has one, else one count per context."""
         if table not in self._base_rows:
-            self._base_rows[table] = self.spark.sql(
+            metas = self.catalog.for_table(table)
+            self._base_rows[table] = metas[0].base_rows if metas else self.spark.sql(
                 f"SELECT count(*) AS n FROM {table}"
             ).collect()[0]["n"]
         return self._base_rows[table]

@@ -5,10 +5,13 @@ import pytest
 
 from repro.core.catalog import HASHED, STRATIFIED, UNIFORM, SampleCatalog
 from repro.core.sampling import (
+    cached_view,
     create_hashed_sample,
     create_stratified_sample,
     create_uniform_sample,
+    drop_sample,
     hash01_expr,
+    view_partitions,
 )
 
 
@@ -172,3 +175,46 @@ class TestStratified:
         )
         # every stratum has 1 tuple < m, so probs are 1 and all rows kept
         assert meta.rows == meta.base_rows
+
+
+class TestViewLayout:
+    """Sample views read their cached rows in view_partitions() partitions."""
+
+    def test_view_partitions(self):
+        assert view_partitions(0, 60_000, 4) == 1
+        assert view_partitions(0, 0, 4) == 1
+        assert view_partitions(6_000, 60_000, 4) == 1
+        assert view_partitions(60_000, 60_000, 4) == 4
+        assert view_partitions(15_001, 60_000, 4) == 2
+        # a 10M-row sample of a 1B-row table in 5000 splits
+        assert view_partitions(10_000_000, 1_000_000_000, 5000) == 50
+
+    def test_sample_set_views_have_one_partition(self, spark, verdict):
+        metas = [m for t in verdict.catalog.tables() for m in verdict.catalog.for_table(t)]
+        assert len(metas) == 7
+        fingerprint = "SELECT count(*) AS n, sum(hash(*)) AS h FROM {}"
+        for m in metas:
+            assert spark.table(m.view).rdd.getNumPartitions() == 1, m.view
+            got = spark.sql(fingerprint.format(m.view)).collect()[0]
+            want = spark.sql(fingerprint.format(cached_view(m.view))).collect()[0]
+            assert got == want and got["n"] == m.rows, m.view
+
+    def test_drop_frees_everything_a_build_cached(self, spark, tpch):
+        from repro.core.verdict import VerdictContext
+        from repro.workloads.tpch_lite import prepare_tpch_samples
+
+        def temp_views():
+            return {t.name for t in spark.catalog.listTables() if t.isTemporary}
+
+        before = temp_views()
+        # a ratio and seed of their own: identical plans would share
+        # cached rows with the session's sample set
+        v = VerdictContext(spark, seed=13)
+        prepare_tpch_samples(v, ratio=0.05)
+        built = {name: spark.table(name) for name in temp_views() - before}
+        assert any(df.storageLevel.useMemory for df in built.values())
+        for t in v.catalog.tables():
+            for m in v.catalog.for_table(t):
+                drop_sample(spark, m)
+        assert not temp_views() & set(built)
+        assert not [n for n, df in built.items() if df.storageLevel.useMemory]

@@ -3,11 +3,19 @@ whole pipeline: parse -> flatten -> plan -> rewrite -> execute ->
 assemble). Exact-path results are validated against the DuckDB oracle;
 approximate results against exact answers with sampling-aware
 tolerances."""
+import re
+
 import pytest
 
+from repro.core.catalog import HASHED, UNIFORM
 from repro.core.estimators import ApproxResult
+from repro.core.parser import parse
+from repro.core.planner import PlanEntry
+from repro.core.rewriter import rewrite_flat, rewrite_nested
 from repro.workloads.insta import INSTA_QUERIES
 from repro.workloads.tpch_lite import TPCH_QUERIES
+
+_TPCH = {w.name: w.sql for w in TPCH_QUERIES}
 
 # queries whose smallest per-group sample support at SF=0.01 makes a
 # tight relative check meaningless; they still must run and be covered
@@ -110,6 +118,44 @@ class TestFacadeBehaviour:
         exact = spark.sql("select count(*) as c from lineitem").collect()[0]["c"]
         assert res.df.collect()[0]["c"] == exact
 
+    def test_hac_rerun_keeps_flattened_subquery(self, spark, verdict):
+        """The exact rerun answers the user's query, comparison
+        subquery included, not the flattened query."""
+        res = verdict.sql(_TPCH["tq-17"], accuracy=0.999999, seed=1)
+        assert not res.approx
+        assert "HAC" in res.fallback_reason
+        (got,) = res.df.collect()
+        (want,) = spark.sql(_TPCH["tq-17"]).collect()
+        assert got[0] == pytest.approx(want[0], rel=1e-9)
+
+    def test_fresh_context_counts_no_sampled_table(self, spark, verdict, monkeypatch):
+        """A new context over a built catalog takes base-row counts from
+        the sample metadata instead of scanning the base tables."""
+        from repro.core.verdict import VerdictContext
+
+        fresh = VerdictContext(spark, budget=verdict.budget, seed=7)
+        fresh.catalog = verdict.catalog
+        issued = []
+        engine_sql = type(spark).sql
+
+        def spy(self, text, *args, **kwargs):
+            issued.append(text)
+            return engine_sql(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(type(spark), "sql", spy)
+        for name in ("tq-1", "tq-12"):
+            assert fresh.sql(_TPCH[name], seed=3).approx
+        sampled = "|".join(verdict.catalog.tables())
+        base_count = re.compile(rf"count\(\*\).*\bFROM\s+({sampled})\b", re.I)
+        assert issued and not [t for t in issued if base_count.search(t)]
+
+    @pytest.mark.parametrize("name", ["tq-1", "tq-12", "tq-median", "tq-nested"])
+    def test_same_seed_same_answer(self, verdict, name):
+        """sids are drawn per partition of a sample view: a fixed seed
+        reproduces answers and error bars exactly."""
+        first = verdict.sql(_TPCH[name], seed=9).df.collect()
+        assert verdict.sql(_TPCH[name], seed=9).df.collect() == first
+
     def test_hac_satisfied_keeps_approx(self, verdict):
         res = verdict.sql(
             "select count(*) as c from lineitem", accuracy=0.5, seed=1
@@ -180,3 +226,54 @@ class TestRecommendedSamples:
         }
         # dow/hour are low-cardinality -> stratified candidates
         assert strat_cols & {"order_dow", "order_hour"}
+
+
+class TestSampleViewPlans:
+    """One-partition sample views: the rewrites over samples run without
+    a shuffle (aggregates, the hashed-pair join and ORDER BY alike)."""
+
+    @staticmethod
+    def _executed_plan(spark, sql: str) -> str:
+        df = spark.sql(sql)
+        df.collect()
+        return df._jdf.queryExecution().executedPlan().toString()
+
+    def _shapes(self, spark, verdict):
+        cat = verdict.catalog
+        uni = cat.find("lineitem", UNIFORM)[0]
+        hl = cat.find("lineitem", HASHED, ("l_orderkey",))[0]
+        ho = cat.find("orders", HASHED, ("o_orderkey",))[0]
+        cols = lambda t: spark.table(t).columns  # noqa: E731
+        flat = parse(
+            "select l_returnflag, sum(l_extendedprice) as s from lineitem "
+            "group by l_returnflag order by l_returnflag"
+        )
+        join = parse(
+            "select o_orderpriority, count(*) as c "
+            "from orders inner join lineitem on o_orderkey = l_orderkey "
+            "group by o_orderpriority order by o_orderpriority"
+        )
+        nested = parse(
+            "select avg(sales) as a from (select l_returnflag, "
+            "sum(l_extendedprice) as sales from lineitem group by l_returnflag) t"
+        )
+        return {
+            "flat": rewrite_flat(
+                flat, PlanEntry(flat.aggs, (("lineitem", uni),)),
+                columns_of=cols, seed=1,
+            ),
+            "join": rewrite_flat(
+                join, PlanEntry(join.aggs, (("lineitem", hl), ("orders", ho))),
+                columns_of=cols, seed=1,
+            ),
+            "nested": rewrite_nested(
+                nested, PlanEntry(nested.source.aggs, (("lineitem", uni),)),
+                columns_of=cols, seed=1,
+            ),
+        }
+
+    def test_no_exchange(self, spark, verdict):
+        for shape, rw in self._shapes(spark, verdict).items():
+            plan = self._executed_plan(spark, rw.sql)
+            assert "InMemoryTableScan" in plan, shape
+            assert "Exchange" not in plan, (shape, plan)
