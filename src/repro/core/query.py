@@ -13,7 +13,7 @@ driver-level middleware does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Aggregates VerdictDB approximates (mean-like, Section 2.2) ...
 APPROXIMABLE = {"count", "sum", "avg", "count_distinct", "stddev", "var", "quantile"}
@@ -122,17 +122,22 @@ class ComparisonSubquery:
     corr: tuple[str, str] | None = None
 
 
-def agg_sql(call: AggCall) -> str:
-    """Render an AggCall back to engine SQL (for exact passthrough)."""
+def agg_expr(call: AggCall) -> str:
+    """Render an AggCall back to an engine SQL expression."""
     if call.fn == "count_distinct":
-        return f"count(DISTINCT {call.expr}) AS {call.alias}"
+        return f"count(DISTINCT {call.expr})"
     if call.fn == "quantile":
-        return f"percentile({call.expr}, {call.q}) AS {call.alias}"
+        return f"percentile({call.expr}, {call.q})"
     if call.fn == "var":
-        return f"var_samp({call.expr}) AS {call.alias}"
+        return f"var_samp({call.expr})"
     if call.fn == "stddev":
-        return f"stddev_samp({call.expr}) AS {call.alias}"
-    return f"{call.fn}({call.expr}) AS {call.alias}"
+        return f"stddev_samp({call.expr})"
+    return f"{call.fn}({call.expr})"
+
+
+def agg_sql(call: AggCall) -> str:
+    """Render an AggCall as an aliased select item (for exact passthrough)."""
+    return f"{agg_expr(call)} AS {call.alias}"
 
 
 def relation_sql(rel: Relation, table_names: dict[str, str] | None = None) -> str:

@@ -1,5 +1,5 @@
-"""AQP Rewriter + Syntax Changer (Fig. 1b): logical query x sample plan
--> one rewritten SQL string implementing the Appendix G template.
+"""AQP Rewriter (Fig. 1b): logical query x sample plan -> one rewritten
+SQL string implementing the Appendix G template.
 
 The rewritten query has three layers, all plain SQL:
 
@@ -10,14 +10,15 @@ The rewritten query has three layers, all plain SQL:
    (subsample id — random per tuple, hash-of-value for count-distinct,
    composed with Theorem 4's h(i, j) when two variational tables join);
 2. **inner aggregate**: ``GROUP BY (groups, sid)`` computing, per
-   subsample, its size, raw Horvitz–Thompson sums, and the
-   window-scaled unbiased estimate of the true answer;
+   subsample, its size, raw Horvitz–Thompson sums, and an unbiased
+   estimate of the true answer (totals scaled by a fixed ``b``);
 3. **outer combiner**: the full-sample HT answer plus the Theorem 2
    error bound ``stddev(est_i) * sqrt(avg(sub_size)/sum(sub_size)) * z``.
 
-A ``Dialect`` seam marks where Impala/Redshift syntax adapters would
-attach (the paper's thin per-engine drivers); only the Spark dialect is
-implemented because Spark is the only engine in this environment.
+A nested query (Section 5.2, Query 7) is the same template over one
+more per-sid layer: the inner query's per-subsample estimates form the
+variational derived table ``t_v``, and layers 2 and 3 run over it.
+:func:`_pieces` is the one place that renders an aggregate's estimator.
 """
 from __future__ import annotations
 
@@ -27,31 +28,10 @@ from typing import Callable
 
 from .catalog import HASHED, SampleMeta
 from .parser import UnsupportedQueryError
-from .query import AggCall, AggQuery, Relation, agg_sql
+from .query import AggCall, AggQuery, Relation, agg_expr
 from .planner import PlanEntry
 from .staircase import erfcinv
-from .variational import (
-    b_for,
-    join_sid_expr,
-    sid_hash_expr,
-    sid_rand_expr,
-)
-
-
-class Dialect:
-    """Engine-specific SQL syntax (the paper's Syntax Changer).
-
-    Spark is the only backend available here; Impala/Redshift adapters
-    would override the quoting / function-name hooks below.
-    """
-
-    name = "spark"
-
-    def percentile(self, expr: str, q: float) -> str:
-        return f"percentile({expr}, {q})"
-
-
-SPARK = Dialect()
+from .variational import b_for, join_sid_expr, sid_hash_expr, sid_rand_expr
 
 
 def z_value(confidence: float) -> float:
@@ -201,65 +181,59 @@ def _scale(raw: str, b: int) -> str:
 
 @dataclass
 class _AggPieces:
-    inner_cols: list[str]
+    """One aggregate's estimator: ``est`` is its per-subsample estimate,
+    ``extra`` the further per-subsample columns ``final`` reads, and
+    ``final`` / ``err`` combine the subsamples into answer and error."""
+
+    est: str
+    extra: list[str]
     final: str
     err: str
 
 
-def _pieces(
-    agg: AggCall,
+#: Theorem 2's sqrt(n_s / n) scaling of the per-subsample spread
+_THEOREM2 = " * sqrt(avg(verdict_sub_size)) / sqrt(sum(verdict_sub_size))"
+
+
+def _combined(
     k: int,
-    *,
-    b: int,
-    domain_tau: float | None,
+    est: str,
     z: float,
-    dialect: Dialect,
+    *,
+    extra: tuple[str, ...] = (),
+    final: str | None = None,
+    scale: str = _THEOREM2,
+) -> _AggPieces:
+    """Combine per-subsample estimates ``est_k``: by default their
+    subsample-size-weighted mean, with the Theorem 2 error
+    ``stddev(est_k) * sqrt(avg(sub_size) / sum(sub_size)) * z``."""
+    return _AggPieces(
+        est, list(extra),
+        final or f"sum(est_{k} * verdict_sub_size) / sum(verdict_sub_size)",
+        f"(stddev_samp(est_{k}){scale}) * {z!r}",
+    )
+
+
+def _pieces(
+    agg: AggCall, k: int, *, b: int, domain_tau: float | None, z: float
 ) -> _AggPieces:
     e = agg.expr if agg.expr not in ("*", "") else "1"
     ht_cnt = "sum(1.0 / verdict_prob)"
     ht_sum = f"sum(({e}) / verdict_prob)"
-    generic_err = (
-        f"(stddev_samp(est_{k}) * sqrt(avg(verdict_sub_size)) "
-        f"/ sqrt(sum(verdict_sub_size))) * {z!r} AS {agg.alias}_err"
-    )
-    if agg.fn == "count":
-        return _AggPieces(
-            [f"{ht_cnt} AS raw_{k}", f"{_scale(ht_cnt, b)} AS est_{k}"],
-            f"sum(raw_{k}) AS {agg.alias}",
-            generic_err,
-        )
-    if agg.fn == "sum":
-        return _AggPieces(
-            [f"{ht_sum} AS raw_{k}", f"{_scale(ht_sum, b)} AS est_{k}"],
-            f"sum(raw_{k}) AS {agg.alias}",
-            generic_err,
+    if agg.fn in ("count", "sum"):
+        raw = ht_cnt if agg.fn == "count" else ht_sum
+        return _combined(
+            k, _scale(raw, b), z, extra=(f"{raw} AS raw_{k}",), final=f"sum(raw_{k})"
         )
     if agg.fn == "avg":
-        return _AggPieces(
-            [
-                f"{ht_sum} AS num_{k}",
-                f"{ht_cnt} AS den_{k}",
-                f"({ht_sum}) / ({ht_cnt}) AS est_{k}",
-            ],
-            f"sum(num_{k}) / sum(den_{k}) AS {agg.alias}",
-            generic_err,
+        return _combined(
+            k, f"({ht_sum}) / ({ht_cnt})", z,
+            extra=(f"{ht_sum} AS num_{k}", f"{ht_cnt} AS den_{k}"),
+            final=f"sum(num_{k}) / sum(den_{k})",
         )
-    if agg.fn in ("var", "stddev"):
-        fn = "var_samp" if agg.fn == "var" else "stddev_samp"
-        return _AggPieces(
-            [f"{fn}({e}) AS est_{k}"],
-            f"sum(est_{k} * verdict_sub_size) / sum(verdict_sub_size) "
-            f"AS {agg.alias}",
-            generic_err,
-        )
-    if agg.fn == "quantile":
-        p = dialect.percentile(e, agg.q if agg.q is not None else 0.5)
-        return _AggPieces(
-            [f"{p} AS est_{k}"],
-            f"sum(est_{k} * verdict_sub_size) / sum(verdict_sub_size) "
-            f"AS {agg.alias}",
-            generic_err,
-        )
+    if agg.fn in ("var", "stddev", "quantile"):
+        # scale-free: every subsample estimates the answer itself
+        return _combined(k, agg_expr(agg), z)
     if agg.fn == "count_distinct":
         if domain_tau is None or domain_tau <= 0:
             raise UnsupportedQueryError(
@@ -267,12 +241,11 @@ def _pieces(
             )
         # subsamples partition the sampled value domain: each holds a
         # tau/b slice, so d_i * b / tau estimates the full distinct count
-        # independently; the plain mean recovers distinct(sample)/tau.
-        return _AggPieces(
-            [f"count(DISTINCT {e}) * {b} / {domain_tau!r} AS est_{k}"],
-            f"avg(est_{k}) AS {agg.alias}",
-            f"(stddev_samp(est_{k}) / sqrt(count(*))) * {z!r} "
-            f"AS {agg.alias}_err",
+        # independently; the plain mean recovers distinct(sample)/tau,
+        # and its error is the standard error of that mean.
+        return _combined(
+            k, f"count(DISTINCT {e}) * {b} / {domain_tau!r}", z,
+            final=f"avg(est_{k})", scale=" / sqrt(count(*))",
         )
     raise UnsupportedQueryError(f"cannot approximate aggregate {agg.fn!r}")
 
@@ -284,8 +257,7 @@ def _substitute_having(having: str, aggs: tuple[AggCall, ...]) -> str:
 
     out = having
     for a in aggs:
-        rendered = agg_sql(a)
-        raw = rendered[: rendered.upper().rfind(" AS ")]
+        raw = agg_expr(a)
         out = out.replace(raw, a.alias)
         # the parser re-emits expressions space-joined ("count ( * )");
         # normalise the rendered form the same way so it matches
@@ -294,8 +266,67 @@ def _substitute_having(having: str, aggs: tuple[AggCall, ...]) -> str:
 
 
 # --------------------------------------------------------------------------
-# flat queries
+# the Appendix G template
 # --------------------------------------------------------------------------
+
+
+def _b_and_z(entry: PlanEntry, b: int | None, confidence: float) -> tuple[int, float]:
+    sampled = [m for m in entry.tables.values() if m is not None]
+    if not sampled:
+        raise UnsupportedQueryError("no sampled relation in plan entry")
+    if b is None:
+        b = b_for(min(m.rows for m in sampled))
+    return b, z_value(confidence)
+
+
+def _by_sid(
+    groups: tuple[str, ...], cols: list[str], source: str, name: str, where: str | None
+) -> str:
+    """One ``GROUP BY (groups, sid)`` layer over the rows of ``source``."""
+    select = ", ".join([*groups, "verdict_sid", *cols])
+    cond = f" WHERE {where}" if where else ""
+    return (
+        f"SELECT {select} FROM ({source}) {name}{cond} "
+        f"GROUP BY {', '.join([*groups, 'verdict_sid'])}"
+    )
+
+
+def _template(
+    query: AggQuery,
+    aggs: tuple[AggCall, ...],
+    pieces: list[_AggPieces],
+    sub_size: str,
+    source: str,
+    name: str,
+    *,
+    b: int,
+    where: str | None = None,
+) -> Rewritten:
+    """Layers 2 and 3 over a variational ``source``: per-subsample
+    estimates ``GROUP BY (groups, sid)``, then the combiner and the
+    user's HAVING / ORDER BY / LIMIT."""
+    groups = tuple(_plain(g) for g in query.groups)
+    cols = [f"{sub_size} AS verdict_sub_size"]
+    for k, p in enumerate(pieces):
+        cols += [*p.extra, f"{p.est} AS est_{k}"]
+    sub = _by_sid(groups, cols, source, name, where)
+    select = (
+        list(groups)
+        + [f"{p.final} AS {a.alias}" for a, p in zip(aggs, pieces)]
+        + [f"{p.err} AS {a.alias}_err" for a, p in zip(aggs, pieces)]
+    )
+    sql = f"SELECT {', '.join(select)} FROM ({sub}) verdict_sub"
+    if groups:
+        sql += f" GROUP BY {', '.join(groups)}"
+    if query.having:
+        hv = _substitute_having(query.having, aggs)
+        sql = f"SELECT * FROM ({sql}) verdict_hv WHERE {hv}"
+    if query.order_by:
+        sql += f" ORDER BY {query.order_by}"
+    if query.limit is not None:
+        sql += f" LIMIT {query.limit}"
+    outputs = tuple(AggOutput(a.alias, f"{a.alias}_err") for a in aggs)
+    return Rewritten(sql=sql, outputs=outputs, b=b)
 
 
 def rewrite_flat(
@@ -306,18 +337,11 @@ def rewrite_flat(
     confidence: float = 0.95,
     seed: int | None = None,
     b: int | None = None,
-    dialect: Dialect = SPARK,
 ) -> Rewritten:
     """Rewrite a flat aggregate query per the Appendix G template."""
     if not isinstance(query.source, Relation):
         raise UnsupportedQueryError("rewrite_flat requires a flat query")
-    assignment = entry.tables
-    sampled = [m for m in assignment.values() if m is not None]
-    if not sampled:
-        raise UnsupportedQueryError("no sampled relation in plan entry")
-    if b is None:
-        b = b_for(min(m.rows for m in sampled))
-    z = z_value(confidence)
+    b, z = _b_and_z(entry, b, confidence)
 
     distinct_aggs = [a for a in entry.aggs if a.fn == "count_distinct"]
     hash_sid_cols: tuple[str, ...] | None = None
@@ -325,56 +349,20 @@ def rewrite_flat(
     if distinct_aggs:
         col = _plain(distinct_aggs[0].expr)
         hash_sid_cols = (col,)
-        for m in sampled:
-            if m.stype == HASHED and tuple(m.columns) == (col,):
+        for m in entry.tables.values():
+            if m is not None and m.stype == HASHED and tuple(m.columns) == (col,):
                 domain_tau = m.ratio
                 break
 
     vt = _vt_sql(
-        query.source,
-        assignment,
-        query.where,
-        b,
-        columns_of=columns_of,
-        seed=seed,
-        hash_sid_cols=hash_sid_cols,
+        query.source, entry.tables, query.where, b,
+        columns_of=columns_of, seed=seed, hash_sid_cols=hash_sid_cols,
     )
-
-    groups = tuple(_plain(g) for g in query.groups)
     pieces = [
-        _pieces(a, k, b=b, domain_tau=domain_tau, z=z, dialect=dialect)
+        _pieces(a, k, b=b, domain_tau=domain_tau, z=z)
         for k, a in enumerate(entry.aggs)
     ]
-
-    inner_select = list(groups) + ["verdict_sid", "count(*) AS verdict_sub_size"]
-    for p in pieces:
-        inner_select.extend(p.inner_cols)
-    group_by = ", ".join(list(groups) + ["verdict_sid"])
-    inner_sql = (
-        f"SELECT {', '.join(inner_select)} FROM ({vt}) verdict_vt "
-        f"GROUP BY {group_by}"
-    )
-
-    outer_select = list(groups) + [p.final for p in pieces] + [p.err for p in pieces]
-    outer_sql = f"SELECT {', '.join(outer_select)} FROM ({inner_sql}) verdict_sub"
-    if groups:
-        outer_sql += f" GROUP BY {', '.join(groups)}"
-
-    if query.having:
-        hv = _substitute_having(query.having, entry.aggs)
-        outer_sql = f"SELECT * FROM ({outer_sql}) verdict_hv WHERE {hv}"
-    if query.order_by:
-        outer_sql += f" ORDER BY {query.order_by}"
-    if query.limit is not None:
-        outer_sql += f" LIMIT {query.limit}"
-
-    outputs = tuple(AggOutput(a.alias, f"{a.alias}_err") for a in entry.aggs)
-    return Rewritten(sql=outer_sql, outputs=outputs, b=b)
-
-
-# --------------------------------------------------------------------------
-# nested queries (Section 5.2, Query 5 shape)
-# --------------------------------------------------------------------------
+    return _template(query, entry.aggs, pieces, "count(*)", vt, "verdict_vt", b=b)
 
 
 def rewrite_nested(
@@ -385,7 +373,6 @@ def rewrite_nested(
     confidence: float = 0.95,
     seed: int | None = None,
     b: int | None = None,
-    dialect: Dialect = SPARK,
 ) -> Rewritten:
     """Rewrite an aggregate-over-aggregate query as one linear pipeline.
 
@@ -401,86 +388,29 @@ def rewrite_nested(
     inner = query.source
     if not isinstance(inner, AggQuery) or not isinstance(inner.source, Relation):
         raise UnsupportedQueryError("rewrite_nested requires one nesting level")
-    assignment = entry.tables
-    sampled = [m for m in assignment.values() if m is not None]
-    if not sampled:
-        raise UnsupportedQueryError("no sampled relation in plan entry")
-    if b is None:
-        b = b_for(min(m.rows for m in sampled))
-    z = z_value(confidence)
+    b, z = _b_and_z(entry, b, confidence)
+    for a in inner.aggs:
+        if a.fn not in ("count", "sum", "avg"):
+            raise UnsupportedQueryError(
+                f"inner aggregate {a.fn!r} unsupported in nested queries"
+            )
+    for a in query.aggs:
+        if a.fn == "count_distinct":
+            raise UnsupportedQueryError(f"outer aggregate {a.fn!r} unsupported")
 
     vt = _vt_sql(
-        inner.source, assignment, inner.where, b, columns_of=columns_of, seed=seed
+        inner.source, entry.tables, inner.where, b, columns_of=columns_of, seed=seed
     )
-    g_in = tuple(_plain(g) for g in inner.groups)
-
-    def inner_est(a: AggCall) -> str:
-        e = a.expr if a.expr not in ("*", "") else "1"
-        ht_cnt = "sum(1.0 / verdict_prob)"
-        ht_sum = f"sum(({e}) / verdict_prob)"
-        if a.fn == "count":
-            return f"{_scale(ht_cnt, b)} AS {a.alias}"
-        if a.fn == "sum":
-            return f"{_scale(ht_sum, b)} AS {a.alias}"
-        if a.fn == "avg":
-            return f"({ht_sum}) / ({ht_cnt}) AS {a.alias}"
-        raise UnsupportedQueryError(
-            f"inner aggregate {a.fn!r} unsupported in nested queries"
-        )
-
-    # Query 7: variational table of the derived table t
-    tv_select = (
-        list(g_in)
-        + ["verdict_sid", "count(*) AS verdict_tuples"]
-        + [inner_est(a) for a in inner.aggs]
+    # Query 7: the variational table t_v of the derived table t
+    tv_cols = ["count(*) AS verdict_tuples"] + [
+        f"{_pieces(a, k, b=b, domain_tau=None, z=z).est} AS {a.alias}"
+        for k, a in enumerate(inner.aggs)
+    ]
+    tv = _by_sid(
+        tuple(_plain(g) for g in inner.groups), tv_cols, vt, "verdict_vt", None
     )
-    tv_sql = (
-        f"SELECT {', '.join(tv_select)} FROM ({vt}) verdict_vt "
-        f"GROUP BY {', '.join(list(g_in) + ['verdict_sid'])}"
+    pieces = [_combined(k, agg_expr(a), z) for k, a in enumerate(query.aggs)]
+    return _template(
+        query, query.aggs, pieces, "sum(verdict_tuples)", tv, "verdict_tv",
+        b=b, where=query.where,
     )
-
-    g_out = tuple(_plain(g) for g in query.groups)
-
-    def outer_agg(a: AggCall) -> str:
-        e = a.expr if a.expr not in ("*", "") else "1"
-        if a.fn == "count":
-            return "count(*)"
-        if a.fn in ("sum", "avg", "min", "max"):
-            return f"{a.fn}({e})"
-        if a.fn in ("var", "stddev"):
-            return f"{'var_samp' if a.fn == 'var' else 'stddev_samp'}({e})"
-        if a.fn == "quantile":
-            return dialect.percentile(e, a.q if a.q is not None else 0.5)
-        raise UnsupportedQueryError(f"outer aggregate {a.fn!r} unsupported")
-
-    where_out = f" WHERE {query.where}" if query.where else ""
-    # per-subsample outer estimates over t_v
-    sub_select = (
-        list(g_out)
-        + ["verdict_sid", "sum(verdict_tuples) AS verdict_sub_size"]
-        + [f"{outer_agg(a)} AS est_{k}" for k, a in enumerate(query.aggs)]
-    )
-    sub_sql = (
-        f"SELECT {', '.join(sub_select)} FROM ({tv_sql}) verdict_tv{where_out} "
-        f"GROUP BY {', '.join(list(g_out) + ['verdict_sid'])}"
-    )
-    final_select = list(g_out)
-    for k, a in enumerate(query.aggs):
-        final_select.append(
-            f"sum(est_{k} * verdict_sub_size) / sum(verdict_sub_size) "
-            f"AS {a.alias}"
-        )
-    for k, a in enumerate(query.aggs):
-        final_select.append(
-            f"(stddev_samp(est_{k}) * sqrt(avg(verdict_sub_size)) "
-            f"/ sqrt(sum(verdict_sub_size))) * {z!r} AS {a.alias}_err"
-        )
-    sql = f"SELECT {', '.join(final_select)} FROM ({sub_sql}) verdict_sub"
-    if g_out:
-        sql += f" GROUP BY {', '.join(g_out)}"
-    if query.order_by:
-        sql += f" ORDER BY {query.order_by}"
-    if query.limit is not None:
-        sql += f" LIMIT {query.limit}"
-    outputs = tuple(AggOutput(a.alias, f"{a.alias}_err") for a in query.aggs)
-    return Rewritten(sql=sql, outputs=outputs, b=b)
