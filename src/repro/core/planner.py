@@ -244,7 +244,6 @@ def plan_query(
     *,
     budget: float = DEFAULT_IO_BUDGET,
     k: int = DEFAULT_K,
-    allow_multi_uniform: bool = False,
 ) -> Plan:
     """Choose the best consolidated sample plan within the I/O budget.
 
@@ -284,14 +283,11 @@ def plan_query(
             options = []
             for combo in itertools.product(*(cands[t] for t in tables)):
                 assignment = dict(zip(tables, combo))
-                if _assignment_valid(
-                    assignment, rel, allow_multi_uniform=allow_multi_uniform
-                ):
+                if _assignment_valid(assignment, rel):
                     options.append(assignment)
             signatures[sig] = len(sig_options)
             sig_options.append(options)
         sig_of_agg.append(signatures[sig])
-    per_agg_options = None  # replaced by signature-level enumeration
 
     def within_budget(entry: PlanEntry) -> bool:
         if not entry.uses_sampling:
@@ -311,23 +307,14 @@ def plan_query(
     ):
         combo = [sig_combo[s] for s in sig_of_agg]
         # consolidate aggregates sharing the same sample set (E.1)
-        groups_by_assign: dict[tuple, list[AggCall]] = {}
+        consolidated: dict[tuple, tuple[dict, list[AggCall]]] = {}
         for agg, assignment in zip(approx_aggs, combo):
             key = tuple(sorted((t, m.view if m else "") for t, m in assignment.items()))
-            groups_by_assign.setdefault(key, []).append(agg)
-        entries = []
-        seen_keys = set()
-        for agg, assignment in zip(approx_aggs, combo):
-            key = tuple(sorted((t, m.view if m else "") for t, m in assignment.items()))
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            entries.append(
-                PlanEntry(
-                    aggs=tuple(groups_by_assign[key]),
-                    assignment=tuple(sorted(assignment.items())),
-                )
-            )
+            consolidated.setdefault(key, (assignment, []))[1].append(agg)
+        entries = [
+            PlanEntry(aggs=tuple(aggs), assignment=tuple(sorted(a.items())))
+            for a, aggs in consolidated.values()
+        ]
         cost = sum(_entry_cost(e, base_rows) for e in entries)
         if not all(within_budget(e) for e in entries):
             continue

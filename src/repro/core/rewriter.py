@@ -218,7 +218,10 @@ def _pieces(
     agg: AggCall, k: int, *, b: int, domain_tau: float | None, z: float
 ) -> _AggPieces:
     e = agg.expr if agg.expr not in ("*", "") else "1"
-    ht_cnt = "sum(1.0 / verdict_prob)"
+    # count(e) and the avg(e) denominator count only rows where e is set
+    ht_cnt = "sum(1.0 / verdict_prob)" if e == "1" else (
+        f"sum(CASE WHEN ({e}) IS NOT NULL THEN 1.0 / verdict_prob END)"
+    )
     ht_sum = f"sum(({e}) / verdict_prob)"
     if agg.fn in ("count", "sum"):
         raw = ht_cnt if agg.fn == "count" else ht_sum

@@ -18,23 +18,18 @@ import itertools
 import time
 from dataclasses import replace
 
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import to_arrow_schema
 
 from . import sampling
-from .catalog import HASHED, STRATIFIED, SampleCatalog
+from .catalog import SampleCatalog
 from .estimators import ApproxResult
 from .flatten import flatten
 from .parser import UnsupportedQueryError, parse
-from .planner import (
-    DEFAULT_IO_BUDGET,
-    DEFAULT_K,
-    Plan,
-    PlanEntry,
-    exact_plan,
-    plan_query,
-)
-from .query import EXTREME, AggQuery, Relation, agg_sql, exact_sql
+from .planner import DEFAULT_IO_BUDGET, DEFAULT_K, plan_query
+from .query import EXTREME, AggQuery, exact_sql
 from .rewriter import AggOutput, rewrite_flat, rewrite_nested
 
 _derived_counter = itertools.count()
@@ -183,6 +178,14 @@ class VerdictContext:
                 fallback_reason=f"unsupported: {e}",
             )
         res.latency_sec = time.perf_counter() - t0
+        if accuracy is not None and res.approx:
+            # run the query once: the HAC check and the caller read these
+            # rows. A small Arrow table becomes a local relation that Spark
+            # reads back without a job; a list of Rows would become an RDD.
+            schema = res.df.schema
+            rows = [r.asDict() for r in res.df.collect()]
+            table = pa.Table.from_pylist(rows, schema=to_arrow_schema(schema))
+            res.df = self.spark.createDataFrame(table, schema)
         if res.violates(accuracy):
             # rerun the user's text: the parsed query has lost the
             # comparison subqueries that flatten() turned into views
@@ -235,7 +238,19 @@ class VerdictContext:
             if dv.rename is not None:
                 df = df.withColumnRenamed(*dv.rename)
             df.createOrReplaceTempView(dv.view)
+        try:
+            return self._approximate(
+                q, budget=budget, confidence=confidence, seed=seed
+            )
+        finally:
+            # every spark.sql call that reads the views has been analysed
+            # by now, and an analysed plan keeps each view's own plan
+            for dv in derived:
+                self.spark.catalog.dropTempView(dv.view)
 
+    def _approximate(
+        self, q: AggQuery, *, budget: float, confidence: float, seed: int | None
+    ) -> ApproxResult:
         # 2. split off extreme statistics (min/max: computed exactly)
         extreme = tuple(a for a in q.aggs if a.fn in EXTREME)
         meanlike = tuple(a for a in q.aggs if a.fn not in EXTREME)

@@ -328,3 +328,23 @@ class TestNested:
         }
         for g, v in exact.items():
             assert approx[g]["a"] == pytest.approx(v, rel=0.15), g
+
+    def test_nested_having(self, spark, verdict):
+        """The outer HAVING of a nested query filters the combined rows:
+        only flag N keeps two (flag, status) groups under the filter."""
+        sql = (
+            "select l_returnflag, count(*) as n, avg(sales) as a from "
+            "(select l_returnflag, l_linestatus, sum(l_extendedprice) as sales "
+            "from lineitem where l_linestatus = 'F' or l_returnflag = 'N' "
+            "group by l_returnflag, l_linestatus) t "
+            "group by l_returnflag having count(*) > 1"
+        )
+        q = parse(sql)
+        rw = rewrite_nested(q, _entry(q, verdict), columns_of=_cols(spark), seed=16)
+        want = {r["l_returnflag"] for r in spark.sql(sql).collect()}
+        every = {
+            r["l_returnflag"]
+            for r in spark.sql("select distinct l_returnflag from lineitem").collect()
+        }
+        assert want and want < every
+        assert {r["l_returnflag"] for r in spark.sql(rw.sql).collect()} == want

@@ -4,6 +4,7 @@ assemble). Exact-path results are validated against the DuckDB oracle;
 approximate results against exact answers with sampling-aware
 tolerances."""
 import re
+import time
 
 import pytest
 
@@ -127,6 +128,47 @@ class TestFacadeBehaviour:
         (got,) = res.df.collect()
         (want,) = spark.sql(_TPCH["tq-17"]).collect()
         assert got[0] == pytest.approx(want[0], rel=1e-9)
+
+    def test_hac_contract_that_holds_runs_the_query_once(self, spark, verdict):
+        """Under a contract that holds, ``sql()`` has already run the
+        query for the HAC check: collecting the result starts no Spark
+        job, and its rows are those of the query without a contract."""
+        res = verdict.sql(_TPCH["tq-1"], accuracy=0.5, seed=3)
+        assert res.approx, res.fallback_reason
+        plain = verdict.sql(_TPCH["tq-1"], seed=3)
+        sc = spark.sparkContext
+
+        def collect_in(group, df):
+            sc.setJobGroup(group, group)
+            try:
+                return df.collect()
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+
+        got = collect_in("hac-result", res.df)
+        want = collect_in("hac-control", plain.df)
+        # listener events arrive in order: once the control's job shows,
+        # any job of the earlier collect has shown too
+        tracker = sc.statusTracker()
+        deadline = time.monotonic() + 10
+        while not tracker.getJobIdsForGroup("hac-control"):
+            assert time.monotonic() < deadline, "control job never seen"
+            time.sleep(0.05)
+        assert tracker.getJobIdsForGroup("hac-result") == []
+        assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+
+    def test_derived_views_dropped(self, spark, verdict):
+        """Long sessions: the views that flattening registers for a
+        comparison subquery do not outlive the query."""
+        for name in ("tq-17", "tq-corr") * 2:
+            res = verdict.sql(_TPCH[name], seed=4)
+            assert res.approx, res.fallback_reason
+            _check_against_exact(res, spark.sql(_TPCH[name]), name in _LOOSE)
+        left = [
+            t.name for t in spark.catalog.listTables()
+            if t.name.startswith(("verdict_scalar_sub_", "verdict_flat_sub_"))
+        ]
+        assert left == []
 
     def test_fresh_context_counts_no_sampled_table(self, spark, verdict, monkeypatch):
         """A new context over a built catalog takes base-row counts from
