@@ -18,10 +18,8 @@ import itertools
 import time
 from dataclasses import replace
 
-import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.pandas.types import to_arrow_schema
 
 from . import sampling
 from .catalog import SampleCatalog
@@ -179,13 +177,11 @@ class VerdictContext:
             )
         res.latency_sec = time.perf_counter() - t0
         if accuracy is not None and res.approx:
-            # run the query once: the HAC check and the caller read these
-            # rows. A small Arrow table becomes a local relation that Spark
-            # reads back without a job; a list of Rows would become an RDD.
-            schema = res.df.schema
-            rows = [r.asDict() for r in res.df.collect()]
-            table = pa.Table.from_pylist(rows, schema=to_arrow_schema(schema))
-            res.df = self.spark.createDataFrame(table, schema)
+            # run the query once: the HAC check and the caller read its
+            # result. A small Arrow table becomes a local relation, which
+            # Spark reads back without a job (a list of Rows would become
+            # an RDD, read by one).
+            res.df = self.spark.createDataFrame(res.df.toArrow(), res.df.schema)
         if res.violates(accuracy):
             # rerun the user's text: the parsed query has lost the
             # comparison subqueries that flatten() turned into views
