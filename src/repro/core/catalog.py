@@ -5,8 +5,8 @@ database catalog". Here the backend is a single Spark session, so the
 catalog is an in-process registry keyed by base-table name; each entry
 describes one materialised sample temp view. All fields a planner or
 rewriter needs — type, column set, sampling parameter tau, actual row
-counts — are captured at creation time so that query-time planning never
-re-scans data.
+counts, the base table's scan partitions — are captured at creation time
+so that query-time planning never re-scans data.
 """
 from __future__ import annotations
 
@@ -24,7 +24,9 @@ class SampleMeta:
     ``ratio`` is the sampling parameter tau from Section 3.1 (for
     stratified samples, the budget parameter of Equation 1 — per-tuple
     probabilities vary and live in the ``verdict_prob`` column).
-    ``rows``/``base_rows`` are exact counts taken at creation.
+    ``rows``/``base_rows`` are exact counts taken at creation;
+    ``base_partitions`` is the number of tasks that scan the base table
+    (0 when unknown).
     """
 
     table: str
@@ -34,11 +36,17 @@ class SampleMeta:
     ratio: float
     rows: int
     base_rows: int
+    base_partitions: int = 0
 
     @property
     def sampling_ratio(self) -> float:
         """Effective (realised) sampling ratio |T_s| / |T|."""
         return self.rows / self.base_rows if self.base_rows else 0.0
+
+    @property
+    def rows_per_scan_task(self) -> float:
+        """Base-table rows one scan task reads (0 when unknown)."""
+        return self.base_rows / self.base_partitions if self.base_partitions else 0.0
 
 
 @dataclass

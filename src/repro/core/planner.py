@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from .catalog import HASHED, STRATIFIED, UNIFORM, SampleCatalog, SampleMeta
-from .query import AggCall, AggQuery, Relation
+from .query import AggCall, AggQuery, Relation, TableRef
 
 #: advantage factor for a stratified sample covering the group-by columns
 STRATIFIED_ADVANTAGE = 2.0
@@ -331,3 +331,30 @@ def plan_query(
     if best is None or not best.uses_sampling:
         return exact_plan(query, rel)
     return best
+
+
+def broadcast_tables(
+    tables: tuple[TableRef, ...], entry: PlanEntry, base_rows: dict[str, int]
+) -> frozenset[str]:
+    """Identifiers of the unsampled tables to broadcast into the join of
+    a sampled entry.
+
+    A table qualifies when it holds at most as many rows as one scan
+    task of a sampled table in the entry reads, the yardstick
+    :func:`~repro.core.sampling.view_partitions` sizes sample views
+    with: such a table is no bigger than one task's input, so shipping
+    it to every task costs less than shuffling the sample and the table.
+    Only tables in ``base_rows`` are considered; a derived view's size
+    is unknown, so it is never broadcast.
+    """
+    assignment = entry.tables
+    per_task = max(
+        (m.rows_per_scan_task for m in assignment.values() if m is not None),
+        default=0.0,
+    )
+    return frozenset(
+        t.ident for t in tables
+        if assignment.get(t.name) is None
+        and t.name in base_rows
+        and base_rows[t.name] <= per_task
+    )

@@ -9,6 +9,8 @@ The rewritten query has three layers, all plain SQL:
    the minimum across equi-joined universe samples) and ``verdict_sid``
    (subsample id — random per tuple, hash-of-value for count-distinct,
    composed with Theorem 4's h(i, j) when two variational tables join);
+   unsampled tables the planner found small are named in a broadcast
+   join hint;
 2. **inner aggregate**: ``GROUP BY (groups, sid)`` computing, per
    subsample, its size, raw Horvitz–Thompson sums, and an unbiased
    estimate of the true answer (totals scaled by a fixed ``b``);
@@ -66,6 +68,45 @@ def _plain(col: str) -> str:
 # --------------------------------------------------------------------------
 
 
+def _from_sql(
+    rel: Relation,
+    subs: list[str],
+    broadcast: frozenset[str],
+    columns_of: Callable[[str], list[str]],
+) -> str:
+    """FROM clause joining ``subs``, one per table of ``rel``, on the
+    query's equi-join conditions.
+
+    The tables in ``broadcast`` join last when the others still join
+    each other through their own conditions. Spark keeps a one-partition
+    input of a sort-merge join unshuffled only while that input's size
+    estimate stays under ``spark.sql.maxSinglePartitionBytes``, and it
+    estimates an inner join as the product of its inputs: two
+    one-partition samples joined above a broadcast join shuffle both
+    sides, joined below it they shuffle neither.
+    """
+    tables = rel.tables
+    edges = [(i, pair) for i, e in enumerate(rel.joins, start=1) for pair in e.on]
+    # table position each condition joins at: the user's order by default
+    order, at = list(range(len(tables))), [i for i, _ in edges]
+    if broadcast:
+        owner = {c: i for i, t in enumerate(tables) for c in columns_of(t.name)}
+        moved = sorted(order, key=lambda i: tables[i].ident in broadcast)
+        pos = {i: k for k, i in enumerate(moved)}
+        if all(l in owner and r in owner for _, (l, r) in edges):
+            # a condition joins at the later of its two tables
+            moved_at = [max(owner[l], owner[r], key=pos.get) for _, (l, r) in edges]
+            if set(moved[1:]) <= set(moved_at):
+                order, at = moved, moved_at
+    parts = [subs[order[0]]]
+    for i in order[1:]:
+        cond = " AND ".join(
+            f"{l} = {r}" for (_, (l, r)), a in zip(edges, at) if a == i
+        )
+        parts.append(f"INNER JOIN {subs[i]} ON {cond}")
+    return " ".join(parts)
+
+
 def _vt_sql(
     rel: Relation,
     assignment: dict[str, SampleMeta | None],
@@ -75,12 +116,17 @@ def _vt_sql(
     columns_of: Callable[[str], list[str]],
     seed: int | None,
     hash_sid_cols: tuple[str, ...] | None = None,
+    broadcast: frozenset[str] = frozenset(),
 ) -> str:
     """SQL for the variational table of the (joined) FROM clause.
 
     ``hash_sid_cols``: when set (count-distinct entries), per-tuple sids
     are derived by hashing these columns so subsamples partition the
     value domain instead of the tuple space.
+
+    ``broadcast``: identifiers of unsampled tables to broadcast into the
+    join, named in a ``/*+ BROADCAST(...) */`` hint (a comment to
+    engines without join hints).
     """
     sub_sqls: list[str] = []
     sid_cols: list[str] = []
@@ -114,12 +160,7 @@ def _vt_sql(
             sid_cols.append(f"verdict_sid_{i}")
             prob_cols.append(f"verdict_prob_{i}")
 
-    # FROM clause with the original join structure
-    from_parts = [sub_sqls[0]]
-    for edge, sub in zip(rel.joins, sub_sqls[1:]):
-        cond = " AND ".join(f"{l} = {r}" for l, r in edge.on)
-        from_parts.append(f"INNER JOIN {sub} ON {cond}")
-    from_sql = " ".join(from_parts)
+    from_sql = _from_sql(rel, sub_sqls, broadcast, columns_of)
 
     # probability: product of independent samples; equi-joined universe
     # samples survive together, so they contribute min(tau_i) once.
@@ -146,8 +187,9 @@ def _vt_sql(
     all_cols = ", ".join(
         c for t in rel.tables for c in columns_of(t.name)
     )
+    hint = f"/*+ BROADCAST({', '.join(sorted(broadcast))}) */ " if broadcast else ""
     sql = (
-        f"SELECT {all_cols}, {prob_expr} AS verdict_prob, "
+        f"SELECT {hint}{all_cols}, {prob_expr} AS verdict_prob, "
         f"{sid_expr} AS verdict_sid FROM {from_sql}"
     )
     if where:
@@ -340,8 +382,13 @@ def rewrite_flat(
     confidence: float = 0.95,
     seed: int | None = None,
     b: int | None = None,
+    broadcast: frozenset[str] = frozenset(),
 ) -> Rewritten:
-    """Rewrite a flat aggregate query per the Appendix G template."""
+    """Rewrite a flat aggregate query per the Appendix G template.
+
+    ``broadcast`` names the unsampled tables to broadcast into the join
+    (see :func:`~repro.core.planner.broadcast_tables`); none by default.
+    """
     if not isinstance(query.source, Relation):
         raise UnsupportedQueryError("rewrite_flat requires a flat query")
     b, z = _b_and_z(entry, b, confidence)
@@ -360,6 +407,7 @@ def rewrite_flat(
     vt = _vt_sql(
         query.source, entry.tables, query.where, b,
         columns_of=columns_of, seed=seed, hash_sid_cols=hash_sid_cols,
+        broadcast=broadcast,
     )
     pieces = [
         _pieces(a, k, b=b, domain_tau=domain_tau, z=z)
@@ -376,6 +424,7 @@ def rewrite_nested(
     confidence: float = 0.95,
     seed: int | None = None,
     b: int | None = None,
+    broadcast: frozenset[str] = frozenset(),
 ) -> Rewritten:
     """Rewrite an aggregate-over-aggregate query as one linear pipeline.
 
@@ -386,7 +435,8 @@ def rewrite_nested(
     subsample-size-weighted mean and the error is the Theorem 2 scaled
     stddev. One chain vt -> t_v -> per-sid -> combine; no second pass
     over the sample (Spark inlines CTEs, so a separate sid-free answer
-    path would re-execute the variational source).
+    path would re-execute the variational source). ``broadcast`` is as
+    in :func:`rewrite_flat`.
     """
     inner = query.source
     if not isinstance(inner, AggQuery) or not isinstance(inner.source, Relation):
@@ -402,7 +452,8 @@ def rewrite_nested(
             raise UnsupportedQueryError(f"outer aggregate {a.fn!r} unsupported")
 
     vt = _vt_sql(
-        inner.source, entry.tables, inner.where, b, columns_of=columns_of, seed=seed
+        inner.source, entry.tables, inner.where, b,
+        columns_of=columns_of, seed=seed, broadcast=broadcast,
     )
     # Query 7: the variational table t_v of the derived table t
     tv_cols = ["count(*) AS verdict_tuples"] + [

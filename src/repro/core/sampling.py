@@ -115,7 +115,7 @@ def create_uniform_sample(
         f"FROM {table} WHERE {rand} < {ratio!r}"
     )
     rows = _materialise(spark, sql, view, base)
-    meta = SampleMeta(table, view, UNIFORM, (), ratio, rows, base[0])
+    meta = SampleMeta(table, view, UNIFORM, (), ratio, rows, *base)
     if catalog is not None:
         catalog.add(meta)
     return meta
@@ -151,7 +151,7 @@ def create_hashed_sample(
         view,
         base,
     )
-    meta = SampleMeta(table, view, HASHED, tuple(columns), ratio, rows, base[0])
+    meta = SampleMeta(table, view, HASHED, tuple(columns), ratio, rows, *base)
     if catalog is not None:
         catalog.add(meta)
     return meta
@@ -207,7 +207,7 @@ def create_stratified_sample(
         f") WHERE {rand} < verdict_prob"
     )
     rows = _materialise(spark, sql, view, base)
-    meta = SampleMeta(table, view, STRATIFIED, tuple(columns), ratio, rows, base[0])
+    meta = SampleMeta(table, view, STRATIFIED, tuple(columns), ratio, rows, *base)
     if catalog is not None:
         catalog.add(meta)
     return meta

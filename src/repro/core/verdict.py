@@ -14,9 +14,11 @@ Rewriter's job) and metadata.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import replace
+from typing import Callable
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -26,7 +28,7 @@ from .catalog import SampleCatalog
 from .estimators import ApproxResult
 from .flatten import flatten
 from .parser import UnsupportedQueryError, parse
-from .planner import DEFAULT_IO_BUDGET, DEFAULT_K, plan_query
+from .planner import DEFAULT_IO_BUDGET, DEFAULT_K, broadcast_tables, plan_query
 from .query import EXTREME, AggQuery, exact_sql
 from .rewriter import AggOutput, rewrite_flat, rewrite_nested
 
@@ -168,6 +170,9 @@ class VerdictContext:
             res = self._answer(
                 q, budget=budget if budget is not None else self.budget,
                 confidence=confidence, seed=seed if seed is not None else self.seed,
+                # each table's columns are read once per call; a table
+                # registered again before the next call is read afresh
+                columns_of=functools.cache(lambda t: self.spark.table(t).columns),
             )
         except UnsupportedQueryError as e:
             df = self.spark.sql(query_text)
@@ -211,22 +216,22 @@ class VerdictContext:
             ).collect()[0]["n"]
         return self._base_rows[table]
 
-    def _columns_of(self, table: str) -> list[str]:
-        return self.spark.table(table).columns
-
     def _exact_df(self, q: AggQuery) -> DataFrame:
         return self.spark.sql(exact_sql(q))
 
     def _answer(
-        self, q: AggQuery, *, budget: float, confidence: float, seed: int | None
+        self, q: AggQuery, *, budget: float, confidence: float, seed: int | None,
+        columns_of: Callable[[str], list[str]],
     ) -> ApproxResult:
+        # the user's tables, without the derived views flattening adds
+        base_tables = tuple(t.name for t in q.base_tables())
         # 1. flatten comparison subqueries into joins / scalar views.
         #    Derived views are computed exactly: they feed *filters*, so
         #    keeping them exact isolates approximation error to the
         #    aggregates themselves (a conservative variant of §2.2).
         q, derived = flatten(
             q,
-            columns_of=self._columns_of,
+            columns_of=columns_of,
             fresh_view=lambda kind: f"verdict_{kind}_{next(_derived_counter)}",
         )
         for dv in derived:
@@ -236,7 +241,8 @@ class VerdictContext:
             df.createOrReplaceTempView(dv.view)
         try:
             return self._approximate(
-                q, budget=budget, confidence=confidence, seed=seed
+                q, base_tables, budget=budget, confidence=confidence, seed=seed,
+                columns_of=columns_of,
             )
         finally:
             # every spark.sql call that reads the views has been analysed
@@ -245,7 +251,8 @@ class VerdictContext:
                 self.spark.catalog.dropTempView(dv.view)
 
     def _approximate(
-        self, q: AggQuery, *, budget: float, confidence: float, seed: int | None
+        self, q: AggQuery, base_tables: tuple[str, ...], *, budget: float,
+        confidence: float, seed: int | None, columns_of: Callable[[str], list[str]],
     ) -> ApproxResult:
         # 2. split off extreme statistics (min/max: computed exactly)
         extreme = tuple(a for a in q.aggs if a.fn in EXTREME)
@@ -254,8 +261,10 @@ class VerdictContext:
             raise UnsupportedQueryError("only extreme statistics requested")
         q_mean = replace(q, aggs=meanlike)
 
-        # 3. plan samples under the I/O budget
-        base_rows = {t.name: self._rows(t.name) for t in q.base_tables()}
+        # 3. plan samples under the I/O budget. A derived view needs no
+        #    row count: it has no samples, and counting it would run its
+        #    exact aggregate again.
+        base_rows = {t: self._rows(t) for t in base_tables}
         plan = plan_query(
             q_mean, self.catalog, base_rows, budget=budget, k=self.k
         )
@@ -282,7 +291,7 @@ class VerdictContext:
                         continue
                     probe_cols = [
                         g for g in inner_groups
-                        if g in self._columns_of(meta.table)
+                        if g in columns_of(meta.table)
                     ]
                     if not probe_cols:
                         continue
@@ -324,9 +333,10 @@ class VerdictContext:
                 rw = rewriter(
                     part,
                     entry,
-                    columns_of=self._columns_of,
+                    columns_of=columns_of,
                     confidence=confidence,
                     seed=seed,
+                    broadcast=broadcast_tables(q.base_tables(), entry, base_rows),
                 )
                 df = self.spark.sql(rw.sql)
                 outs = rw.outputs

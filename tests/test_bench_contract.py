@@ -3,12 +3,17 @@
 The benchmark's traced run wraps ``parse``, ``flatten``, ``plan_query``,
 ``rewrite_flat`` and ``rewrite_nested`` where the facade looks them up,
 as module globals of ``repro.core.verdict``, and calls the rewriters on
-hand-built plan entries. Without these names a traced run crashes or
-loses its per-layer spans.
+hand-built plan entries, passing only ``columns_of`` and ``seed``.
+Without these names and that call shape a traced run crashes or loses
+its per-layer spans.
 """
 import pytest
 
 import repro.core.verdict as verdict_mod
+from repro.core.catalog import UNIFORM
+from repro.core.parser import parse
+from repro.core.planner import PlanEntry
+from repro.core.rewriter import rewrite_flat, rewrite_nested
 from repro.workloads.tpch_lite import TPCH_QUERIES
 
 _TPCH = {w.name: w.sql for w in TPCH_QUERIES}
@@ -34,3 +39,25 @@ def test_sql_goes_through_module_globals(monkeypatch, verdict, query, rewriter):
     res = verdict.sql(_TPCH[query], seed=5)
     assert res.approx, res.fallback_reason
     assert calls == ["parse", "flatten", "plan_query", rewriter]
+
+
+def test_rewriters_take_the_benchmark_call_shape(spark, verdict):
+    """``perfbench/verdictbench.py:errest_shapes`` calls both rewriters
+    with ``columns_of`` and ``seed`` only; a join with an unsampled
+    table then gets no broadcast hint."""
+    uni = verdict.catalog.find("lineitem", UNIFORM)[0]
+    cols = lambda t: spark.table(t).columns  # noqa: E731
+    flat = parse(_TPCH["tq-14"])
+    nested = parse(
+        "select avg(rev) as a from (select p_brand, sum(l_extendedprice) as rev "
+        "from lineitem inner join part on l_partkey = p_partkey group by p_brand) t"
+    )
+    assignment = (("lineitem", uni), ("part", None))
+    for rw in (
+        rewrite_flat(flat, PlanEntry(flat.aggs, assignment), columns_of=cols, seed=1),
+        rewrite_nested(
+            nested, PlanEntry(nested.source.aggs, assignment), columns_of=cols, seed=1
+        ),
+    ):
+        assert "/*+" not in rw.sql
+        assert spark.sql(rw.sql).collect()

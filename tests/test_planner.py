@@ -8,7 +8,9 @@ from repro.core.catalog import HASHED, STRATIFIED, UNIFORM, SampleCatalog, Sampl
 from repro.core.parser import parse
 from repro.core.planner import (
     Plan,
+    PlanEntry,
     _assignment_valid,
+    broadcast_tables,
     effective_ratio,
     exact_plan,
     plan_query,
@@ -216,3 +218,51 @@ class TestKBestHeuristic:
         assert isinstance(plan, Plan)
         assert not plan.uses_sampling
         assert plan.entries[0].assignment == (("t", None),)
+
+
+class TestBroadcastTables:
+    """Which unsampled tables a sampled join broadcasts: those no bigger
+    than one scan task of a sampled table (here 100 000 / 4 rows)."""
+
+    SQL = "select count(*) as c from fact inner join dim on fk = pk"
+
+    def _hinted(self, dim_rows, *, partitions=4, rows=None):
+        q = parse(self.SQL)
+        fact = SampleMeta("fact", "f_u", UNIFORM, (), 0.01, 1000, 100_000, partitions)
+        entry = PlanEntry(q.aggs, (("dim", None), ("fact", fact)))
+        base_rows = {"fact": 100_000, "dim": dim_rows} if rows is None else rows
+        return broadcast_tables(q.base_tables(), entry, base_rows)
+
+    def test_rows_per_scan_task(self):
+        assert _meta("t", "v", UNIFORM).rows_per_scan_task == 0.0
+        m = SampleMeta("t", "v", UNIFORM, (), 0.01, 10, 1000, 4)
+        assert m.rows_per_scan_task == 250.0
+
+    def test_dimension_within_one_task_is_hinted(self):
+        assert self._hinted(25_000) == {"dim"}
+
+    def test_dimension_above_one_task_is_not(self):
+        assert self._hinted(25_001) == frozenset()
+
+    def test_unknown_scan_partitions_hint_nothing(self):
+        assert self._hinted(10, partitions=0) == frozenset()
+
+    def test_table_without_row_count_is_not_hinted(self):
+        # flattened derived views are not counted, so never broadcast
+        assert self._hinted(10, rows={"fact": 100_000}) == frozenset()
+
+    def test_hint_names_the_alias(self):
+        q = parse("select count(*) as c from fact f inner join dim d on fk = pk")
+        fact = SampleMeta("fact", "f_u", UNIFORM, (), 0.01, 1000, 100_000, 4)
+        entry = PlanEntry(q.aggs, (("dim", None), ("fact", fact)))
+        hinted = broadcast_tables(q.base_tables(), entry, {"fact": 100_000, "dim": 5})
+        assert hinted == {"d"}
+
+    def test_two_samples_hint_nothing(self):
+        q = parse(self.SQL)
+        f = SampleMeta("fact", "f_h", HASHED, ("fk",), 0.01, 1000, 100_000, 4)
+        d = SampleMeta("dim", "d_h", HASHED, ("pk",), 0.01, 10, 1000, 1)
+        entry = PlanEntry(q.aggs, (("dim", d), ("fact", f)))
+        assert broadcast_tables(
+            q.base_tables(), entry, {"fact": 100_000, "dim": 1000}
+        ) == frozenset()

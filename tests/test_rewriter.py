@@ -7,6 +7,7 @@ probability composition) but not on sampling noise.
 """
 import pytest
 
+from repro.core.catalog import HASHED, SampleMeta
 from repro.core.parser import parse
 from repro.core.planner import PlanEntry, plan_query
 from repro.core.rewriter import Rewritten, rewrite_flat, rewrite_nested, z_value
@@ -86,6 +87,60 @@ class TestFlatSqlShape:
         rw = rewrite_flat(q, _entry(q, verdict), columns_of=_cols(spark), seed=1)
         assert "WHERE c > 0" in rw.sql
         assert spark.sql(rw.sql).count() == 3
+
+
+class TestBroadcastJoinOrder:
+    """Broadcast tables join after the samples when the samples still
+    join each other without them; each condition moves along."""
+
+    COLS = {
+        "customer": ["c_custkey", "c_nationkey"],
+        "orders": ["o_orderkey", "o_custkey"],
+        "lineitem": ["l_orderkey", "l_price"],
+    }
+
+    def _sql(self, text: str, broadcast=frozenset()) -> str:
+        q = parse(text)
+        o = SampleMeta("orders", "o_h", HASHED, ("o_orderkey",), 0.01, 1000, 100_000, 4)
+        li = SampleMeta("lineitem", "l_h", HASHED, ("l_orderkey",), 0.01, 4000, 400_000, 4)
+        entry = PlanEntry(q.aggs, (("customer", None), ("lineitem", li), ("orders", o)))
+        return rewrite_flat(
+            q, entry, columns_of=self.COLS.__getitem__, seed=1, broadcast=broadcast
+        ).sql
+
+    CHAIN = (
+        "select c_nationkey, sum(l_price) as s from customer "
+        "inner join orders on c_custkey = o_custkey "
+        "inner join lineitem on o_orderkey = l_orderkey group by c_nationkey"
+    )
+
+    def test_broadcast_table_joins_last(self):
+        sql = self._sql(self.CHAIN, frozenset({"customer"}))
+        assert "SELECT /*+ BROADCAST(customer) */ " in sql
+        assert (
+            "FROM o_h) orders INNER JOIN (SELECT l_orderkey" in sql
+            and ") lineitem ON o_orderkey = l_orderkey INNER JOIN "
+            "(SELECT c_custkey, c_nationkey FROM customer) customer "
+            "ON c_custkey = o_custkey" in sql
+        ), sql
+
+    def test_user_order_without_hint(self):
+        sql = self._sql(self.CHAIN)
+        assert "/*+" not in sql
+        assert (
+            "FROM (SELECT c_custkey, c_nationkey FROM customer) customer "
+            "INNER JOIN (SELECT o_orderkey" in sql
+        ), sql
+
+    def test_user_order_when_samples_join_only_through_it(self):
+        star = (
+            "select count(*) as c from customer "
+            "inner join orders on c_custkey = o_custkey "
+            "inner join lineitem on c_nationkey = l_orderkey"
+        )
+        hinted = self._sql(star, frozenset({"customer"}))
+        assert "/*+ BROADCAST(customer) */" in hinted
+        assert hinted.replace("/*+ BROADCAST(customer) */ ", "") == self._sql(star)
 
 
 class TestFlatExecution:

@@ -3,16 +3,19 @@ whole pipeline: parse -> flatten -> plan -> rewrite -> execute ->
 assemble). Exact-path results are validated against the DuckDB oracle;
 approximate results against exact answers with sampling-aware
 tolerances."""
+import math
 import re
 import time
 
 import pytest
 
+import repro.core.verdict as verdict_mod
 from repro.core.catalog import HASHED, UNIFORM
 from repro.core.estimators import ApproxResult
 from repro.core.parser import parse
-from repro.core.planner import PlanEntry
+from repro.core.planner import PlanEntry, broadcast_tables
 from repro.core.rewriter import rewrite_flat, rewrite_nested
+from repro.core.verdict import VerdictContext
 from repro.workloads.insta import INSTA_QUERIES
 from repro.workloads.tpch_lite import TPCH_QUERIES
 
@@ -319,3 +322,131 @@ class TestSampleViewPlans:
             plan = self._executed_plan(spark, rw.sql)
             assert "InMemoryTableScan" in plan, shape
             assert "Exchange" not in plan, (shape, plan)
+
+    def test_broadcast_dimension(self, spark, verdict):
+        """A uniform sample joined with part (the tq-14 shape): part is
+        broadcast and the sample streams through the join unshuffled."""
+        uni = verdict.catalog.find("lineitem", UNIFORM)[0]
+        q = parse(_TPCH["tq-14"])
+        entry = PlanEntry(q.aggs, (("lineitem", uni), ("part", None)))
+        rows = {t: verdict._rows(t) for t in ("lineitem", "part")}
+        hinted = broadcast_tables(q.base_tables(), entry, rows)
+        assert hinted == {"part"}
+        rw = rewrite_flat(
+            q, entry, columns_of=lambda t: spark.table(t).columns,
+            seed=1, broadcast=hinted,
+        )
+        assert "/*+ BROADCAST(part) */" in rw.sql
+        plan = self._executed_plan(spark, rw.sql)
+        join = re.search(
+            r"BroadcastHashJoin \[(\w+)#\w+\], \[(\w+)#\w+\], Inner, Build(Left|Right)",
+            plan,
+        )
+        assert join is not None, plan
+        assert join[1 if join[3] == "Left" else 2] == "p_partkey", plan
+        assert not _SHUFFLE.search(plan), plan
+
+    def test_customer_joins_after_the_samples(self, spark, verdict, monkeypatch):
+        """tq-5 broadcasts customer and joins it after the two hashed
+        samples, which then merge-join without a shuffle."""
+        sqls = _spy_rewrites(monkeypatch)
+        assert verdict.sql(_TPCH["tq-5"], seed=3).approx
+        assert "/*+ BROADCAST(customer) */" in sqls[-1]
+        plan = self._executed_plan(spark, sqls[-1])
+        assert "BroadcastHashJoin" in plan and "SortMergeJoin" in plan, plan
+        assert not _SHUFFLE.search(plan.split("== Initial Plan ==")[0]), plan
+
+    def test_two_samples_get_no_hint(self, spark, verdict, monkeypatch):
+        """tq-12 joins two samples: no hint, and still no exchange."""
+        sqls = _spy_rewrites(monkeypatch)
+        assert verdict.sql(_TPCH["tq-12"], seed=3).approx
+        assert len(sqls) == 1 and "/*+" not in sqls[0]
+        assert "Exchange" not in self._executed_plan(spark, sqls[0])
+
+
+#: a shuffle; ``BroadcastExchange`` is not one
+_SHUFFLE = re.compile(r"Exchange (hashpartitioning|rangepartitioning)")
+
+
+def _spy_rewrites(monkeypatch, **force) -> list[str]:
+    """Record the SQL of every rewrite ``VerdictContext.sql`` makes;
+    ``force`` overrides keyword arguments of the rewriters."""
+    sqls: list[str] = []
+    for name in ("rewrite_flat", "rewrite_nested"):
+        def spy(*args, _orig=getattr(verdict_mod, name), **kw):
+            rw = _orig(*args, **{**kw, **force})
+            sqls.append(rw.sql)
+            return rw
+
+        monkeypatch.setattr(verdict_mod, name, spy)
+    return sqls
+
+
+def _same_rows(got, want) -> bool:
+    def key(row):
+        return repr(tuple(v for v in row if not isinstance(v, float)))
+
+    if len(got) != len(want):
+        return False
+    for g, w in zip(sorted(got, key=key), sorted(want, key=key)):
+        for x, y in zip(g, w):
+            if isinstance(x, float) and isinstance(y, float):
+                if not math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12):
+                    return False
+            elif x != y:
+                return False
+    return True
+
+
+class TestBroadcastJoins:
+    @pytest.mark.parametrize("name", ["tq-5", "tq-10", "tq-14", "tq-17", "tq-19"])
+    def test_answers_and_errors_unchanged(self, verdict, monkeypatch, name):
+        """The broadcast hint and the join order it brings change how
+        Spark joins, not what: answers and error bars equal those of
+        the unhinted rewrite up to float summation order."""
+        with monkeypatch.context() as m:
+            hinted = _spy_rewrites(m)
+            got = verdict.sql(_TPCH[name], seed=11).df.collect()
+        assert "/*+ BROADCAST(" in hinted[-1]
+        with monkeypatch.context() as m:
+            plain = _spy_rewrites(m, broadcast=frozenset())
+            want = verdict.sql(_TPCH[name], seed=11).df.collect()
+        assert "/*+" not in plain[-1]
+        assert got and _same_rows(got, want), (got, want)
+
+    def test_derived_views_are_not_counted(self, spark, verdict, monkeypatch):
+        """A flattened comparison subquery's view has no samples: the
+        planner needs no row count of it, and counting one would run
+        its exact aggregate again."""
+        fresh = VerdictContext(spark, budget=verdict.budget, seed=7)
+        fresh.catalog = verdict.catalog
+        issued = []
+        engine_sql = type(spark).sql
+
+        def spy(self, text, *args, **kwargs):
+            issued.append(text)
+            return engine_sql(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(type(spark), "sql", spy)
+        for _ in range(2):
+            res = fresh.sql(_TPCH["tq-corr"], seed=4)
+            assert res.approx, res.fallback_reason
+            _check_against_exact(res, verdict.exact(_TPCH["tq-corr"]), True)
+        counts = re.compile(r"^SELECT count\(\*\) AS \w+ FROM verdict_", re.I)
+        assert not [t for t in issued if counts.search(t)]
+        assert not [t for t in fresh._base_rows if t.startswith("verdict_")]
+
+    def test_columns_read_once_per_call(self, spark, verdict, monkeypatch):
+        """One sql() call reads each table's columns once."""
+        read = []
+        engine_table = type(spark).table
+
+        def spy(self, name, *args, **kwargs):
+            read.append(name)
+            return engine_table(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(type(spark), "table", spy)
+        for name in ("tq-5", "tq-corr"):
+            read.clear()
+            assert verdict.sql(_TPCH[name], seed=2).approx
+            assert read and len(read) == len(set(read)), (name, read)
