@@ -11,6 +11,7 @@ so that query-time planning never re-scans data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 UNIFORM = "uniform"
 HASHED = "hashed"  # a.k.a. universe sample
@@ -51,9 +52,11 @@ class SampleMeta:
 
 @dataclass
 class SampleCatalog:
-    """Registry of sample tables grouped by base table."""
+    """Registry of sample tables grouped by base table, plus the
+    distinct counts probed on them."""
 
     _by_table: dict[str, list[SampleMeta]] = field(default_factory=dict)
+    _distinct: dict[tuple[str, tuple[str, ...]], int] = field(default_factory=dict)
 
     def add(self, meta: SampleMeta) -> None:
         self._by_table.setdefault(meta.table, []).append(meta)
@@ -80,8 +83,23 @@ class SampleCatalog:
             out.append(m)
         return out
 
+    def distinct_count(
+        self, view: str, columns: tuple[str, ...], probe: Callable[[], int]
+    ) -> int:
+        """Distinct count of ``columns`` in sample ``view``: ``probe()``
+        the first time, then the recorded value, so every context
+        sharing this catalog probes each (view, columns) pair once."""
+        key = (view, columns)
+        if key not in self._distinct:
+            self._distinct[key] = probe()
+        return self._distinct[key]
+
     def clear(self, table: str | None = None) -> None:
         if table is None:
             self._by_table.clear()
+            self._distinct.clear()
         else:
-            self._by_table.pop(table, None)
+            views = {m.view for m in self._by_table.pop(table, [])}
+            self._distinct = {
+                k: d for k, d in self._distinct.items() if k[0] not in views
+            }

@@ -95,6 +95,8 @@ class AggQuery:
     limit: int | None = None
     # comparison subqueries found in WHERE, kept for flattening
     subquery_filters: tuple["ComparisonSubquery", ...] = ()
+    # flattened comparison subqueries answered over a table's own rows
+    windows: tuple["WindowAgg", ...] = ()
 
     @property
     def nested(self) -> bool:
@@ -120,6 +122,20 @@ class ComparisonSubquery:
     op: str
     subquery: AggQuery
     corr: tuple[str, str] | None = None
+
+
+@dataclass(frozen=True)
+class WindowAgg:
+    """A comparison subquery over a table of the outer FROM, answered as
+    a window aggregate over that table's rows: ``agg`` over the rows
+    that share the row's ``partition`` value (all rows when None),
+    exposed to the outer WHERE as column ``column``. ``table`` is the
+    table's identifier in the outer FROM."""
+
+    table: str
+    agg: AggCall
+    partition: str | None
+    column: str
 
 
 def agg_expr(call: AggCall) -> str:

@@ -10,7 +10,8 @@ The rewritten query has three layers, all plain SQL:
    (subsample id — random per tuple, hash-of-value for count-distinct,
    composed with Theorem 4's h(i, j) when two variational tables join);
    unsampled tables the planner found small are named in a broadcast
-   join hint;
+   join hint; a comparison subquery flattened onto a sampled table is
+   a Horvitz–Thompson window aggregate over that table's sample rows;
 2. **inner aggregate**: ``GROUP BY (groups, sid)`` computing, per
    subsample, its size, raw Horvitz–Thompson sums, and an unbiased
    estimate of the true answer (totals scaled by a fixed ``b``);
@@ -30,7 +31,7 @@ from typing import Callable
 
 from .catalog import HASHED, SampleMeta
 from .parser import UnsupportedQueryError
-from .query import AggCall, AggQuery, Relation, agg_expr
+from .query import AggCall, AggQuery, Relation, WindowAgg, agg_expr
 from .planner import PlanEntry
 from .staircase import erfcinv
 from .variational import b_for, join_sid_expr, sid_hash_expr, sid_rand_expr
@@ -117,6 +118,7 @@ def _vt_sql(
     seed: int | None,
     hash_sid_cols: tuple[str, ...] | None = None,
     broadcast: frozenset[str] = frozenset(),
+    windows: tuple[WindowAgg, ...] = (),
 ) -> str:
     """SQL for the variational table of the (joined) FROM clause.
 
@@ -127,6 +129,10 @@ def _vt_sql(
     ``broadcast``: identifiers of unsampled tables to broadcast into the
     join, named in a ``/*+ BROADCAST(...) */`` hint (a comment to
     engines without join hints).
+
+    ``windows``: flattened comparison subqueries, each computed as a
+    window over all sample rows of its table, before ``where`` and the
+    joins; a window never runs over a base table.
     """
     sub_sqls: list[str] = []
     sid_cols: list[str] = []
@@ -137,14 +143,22 @@ def _vt_sql(
         meta = assignment.get(tref.name)
         cols = ", ".join(columns_of(tref.name))
         ident = tref.ident
+        wins = "".join(
+            f", {_window_sql(w)} AS {w.column}" for w in windows if w.table == ident
+        )
         if meta is None:
+            if wins:
+                raise UnsupportedQueryError(
+                    f"comparison subquery over {ident} needs its sample, "
+                    "but the plan reads the base table"
+                )
             sub_sqls.append(f"(SELECT {cols} FROM {tref.name}) {ident}")
             continue
         if meta.stype == HASHED:
             sid = sid_hash_expr(meta.columns, b)
             sub_sqls.append(
                 f"(SELECT {cols}, verdict_prob AS verdict_prob_{i}, "
-                f"{sid} AS verdict_sid_{i} FROM {meta.view}) {ident}"
+                f"{sid} AS verdict_sid_{i}{wins} FROM {meta.view}) {ident}"
             )
             hashed_sid_cols.append(f"verdict_sid_{i}")
             hashed_prob_cols.append(f"verdict_prob_{i}")
@@ -155,7 +169,7 @@ def _vt_sql(
                 sid = sid_rand_expr(b, None if seed is None else seed + i)
             sub_sqls.append(
                 f"(SELECT {cols}, verdict_prob AS verdict_prob_{i}, "
-                f"{sid} AS verdict_sid_{i} FROM {meta.view}) {ident}"
+                f"{sid} AS verdict_sid_{i}{wins} FROM {meta.view}) {ident}"
             )
             sid_cols.append(f"verdict_sid_{i}")
             prob_cols.append(f"verdict_prob_{i}")
@@ -256,15 +270,38 @@ def _combined(
     )
 
 
+def _arg(agg: AggCall) -> str:
+    return agg.expr if agg.expr not in ("*", "") else "1"
+
+
+def _ht(agg: AggCall, over: str = "") -> tuple[str, str]:
+    """Horvitz–Thompson sum and count of ``agg``'s argument over the
+    sample rows, as aggregates or, with an ``over`` clause, as window
+    aggregates. count(e) and the avg(e) denominator count only rows
+    where e is set."""
+    e = _arg(agg)
+    ht_cnt = f"sum(1.0 / verdict_prob){over}" if e == "1" else (
+        f"sum(CASE WHEN ({e}) IS NOT NULL THEN 1.0 / verdict_prob END){over}"
+    )
+    return f"sum(({e}) / verdict_prob){over}", ht_cnt
+
+
+def _window_sql(w: WindowAgg) -> str:
+    """The full-sample Horvitz–Thompson estimate of a window-path
+    subquery's count, sum or avg, per partition of the sample rows."""
+    over = f" OVER (PARTITION BY {w.partition})" if w.partition else " OVER ()"
+    ht_sum, ht_cnt = _ht(w.agg, over)
+    if w.agg.fn == "count":
+        # a partition whose e is NULL throughout counts 0 rows, not NULL
+        return f"coalesce({ht_cnt}, 0)"
+    return ht_sum if w.agg.fn == "sum" else f"{ht_sum} / {ht_cnt}"
+
+
 def _pieces(
     agg: AggCall, k: int, *, b: int, domain_tau: float | None, z: float
 ) -> _AggPieces:
-    e = agg.expr if agg.expr not in ("*", "") else "1"
-    # count(e) and the avg(e) denominator count only rows where e is set
-    ht_cnt = "sum(1.0 / verdict_prob)" if e == "1" else (
-        f"sum(CASE WHEN ({e}) IS NOT NULL THEN 1.0 / verdict_prob END)"
-    )
-    ht_sum = f"sum(({e}) / verdict_prob)"
+    e = _arg(agg)
+    ht_sum, ht_cnt = _ht(agg)
     if agg.fn in ("count", "sum"):
         raw = ht_cnt if agg.fn == "count" else ht_sum
         return _combined(
@@ -407,7 +444,7 @@ def rewrite_flat(
     vt = _vt_sql(
         query.source, entry.tables, query.where, b,
         columns_of=columns_of, seed=seed, hash_sid_cols=hash_sid_cols,
-        broadcast=broadcast,
+        broadcast=broadcast, windows=query.windows,
     )
     pieces = [
         _pieces(a, k, b=b, domain_tau=domain_tau, z=z)

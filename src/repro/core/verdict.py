@@ -77,9 +77,6 @@ class VerdictContext:
         self.k = k
         self.seed = seed
         self._base_rows: dict[str, int] = {}
-        # cardinality-probe results are metadata: cache them so repeated
-        # queries pay the probe once (the paper's catalog would, too)
-        self._card_cache: dict[tuple[str, tuple[str, ...]], int] = {}
 
     # ---- sample preparation (offline stage) ---------------------------
     # Each builder gets the base table's count from _rows, so a sample
@@ -217,6 +214,14 @@ class VerdictContext:
         return self._base_rows[table]
 
     def _exact_df(self, q: AggQuery) -> DataFrame:
+        if q.windows:
+            # over a base table, OVER () would pull the whole table
+            # into one partition: pass the user's query through instead
+            raise UnsupportedQueryError(
+                "a comparison subquery answered from "
+                f"{', '.join(sorted({w.table for w in q.windows}))}'s sample "
+                "meets a part the plan answers exactly"
+            )
         return self.spark.sql(exact_sql(q))
 
     def _answer(
@@ -225,14 +230,17 @@ class VerdictContext:
     ) -> ApproxResult:
         # the user's tables, without the derived views flattening adds
         base_tables = tuple(t.name for t in q.base_tables())
-        # 1. flatten comparison subqueries into joins / scalar views.
-        #    Derived views are computed exactly: they feed *filters*, so
-        #    keeping them exact isolates approximation error to the
-        #    aggregates themselves (a conservative variant of §2.2).
+        # 1. flatten comparison subqueries. One over a sampled table of
+        #    the outer FROM becomes a window aggregate the rewriter
+        #    computes over that table's sample rows, so the query reads
+        #    no base table for it. Every other one becomes a derived view
+        #    computed exactly here (a conservative variant of §2.2 that
+        #    keeps approximation error out of those filters).
         q, derived = flatten(
             q,
             columns_of=columns_of,
             fresh_view=lambda kind: f"verdict_{kind}_{next(_derived_counter)}",
+            sampled=lambda table: bool(self.catalog.for_table(table)),
         )
         for dv in derived:
             df = self.spark.sql(exact_sql(dv.query))
@@ -295,13 +303,13 @@ class VerdictContext:
                     ]
                     if not probe_cols:
                         continue
-                    key = (meta.view, tuple(probe_cols))
-                    if key not in self._card_cache:
-                        self._card_cache[key] = self.spark.sql(
+                    d = self.catalog.distinct_count(
+                        meta.view, tuple(probe_cols),
+                        lambda: self.spark.sql(
                             f"SELECT approx_count_distinct(struct("
                             f"{', '.join(probe_cols)})) AS d FROM {meta.view}"
-                        ).collect()[0]["d"]
-                    d = self._card_cache[key]
+                        ).collect()[0]["d"],
+                    )
                     if d > GROUP_CARDINALITY_LIMIT * max(meta.rows, 1):
                         raise UnsupportedQueryError(
                             f"grouping cardinality {d} too high for sample "

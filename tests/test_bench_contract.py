@@ -61,3 +61,36 @@ def test_rewriters_take_the_benchmark_call_shape(spark, verdict):
     ):
         assert "/*+" not in rw.sql
         assert spark.sql(rw.sql).collect()
+
+
+#: a comparison subquery over another table keeps its derived view
+_CROSS_TABLE = (
+    "select sum(l_extendedprice) as rev from lineitem "
+    "where l_extendedprice > (select avg(p_retailprice) from part)"
+)
+
+
+def test_flatten_returns_query_and_derived_views(monkeypatch, spark, verdict):
+    """The traced run records ``len(out[1])`` of every ``flatten`` call:
+    a 2-tuple whose second item has a length, called directly with
+    ``columns_of`` and ``fresh_view`` as well as by the facade, for a
+    window-path query (tq-18) and a cross-table one."""
+    cols = lambda t: spark.table(t).columns  # noqa: E731
+    texts = (_TPCH["tq-18"], _CROSS_TABLE)
+    for text in texts:
+        out = verdict_mod.flatten(
+            parse(text), columns_of=cols, fresh_view=lambda kind: f"verdict_{kind}_0"
+        )
+        assert isinstance(out, tuple) and len(out) == 2
+        assert len(out[1]) == 1
+    seen = []
+
+    def spy(*args, _orig=verdict_mod.flatten, **kw):
+        out = _orig(*args, **kw)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(verdict_mod, "flatten", spy)
+    for text in texts:
+        assert verdict.sql(text, seed=5).approx
+    assert [(len(out), len(out[1])) for out in seen] == [(2, 0), (2, 1)]

@@ -69,3 +69,31 @@ class TestSampleCatalog:
     def test_stratified_columns_kept(self):
         m = _meta(stype=STRATIFIED, columns=("city", "age"))
         assert m.columns == ("city", "age")
+
+
+class TestDistinctCounts:
+    def test_probed_once(self):
+        c = SampleCatalog()
+        calls = []
+
+        def probe():
+            calls.append(1)
+            return 42
+
+        assert c.distinct_count("t_s", ("a",), probe) == 42
+        assert c.distinct_count("t_s", ("a",), probe) == 42
+        assert len(calls) == 1
+        # another column set is another probe
+        assert c.distinct_count("t_s", ("a", "b"), lambda: 7) == 7
+
+    def test_clear_forgets(self):
+        c = SampleCatalog()
+        c.add(_meta(table="a", view="a_s"))
+        c.add(_meta(table="b", view="b_s"))
+        c.distinct_count("a_s", ("x",), lambda: 1)
+        c.distinct_count("b_s", ("y",), lambda: 2)
+        c.clear("a")
+        assert c.distinct_count("a_s", ("x",), lambda: 10) == 10
+        assert c.distinct_count("b_s", ("y",), lambda: 20) == 2
+        c.clear()
+        assert c.distinct_count("b_s", ("y",), lambda: 20) == 20

@@ -80,6 +80,20 @@ class TestCorrelated:
             _flatten(q)
 
 
+class TestNested:
+    def test_inner_subquery_filter_is_unsupported(self):
+        """Neither the nested rewrite nor exact SQL renders an inner
+        query's comparison subquery, so the query must pass through."""
+        from repro.core.parser import UnsupportedQueryError
+
+        q = parse(
+            "select avg(c) as a from (select city, count(*) as c from t "
+            "where price > (select avg(price) as ap from t) group by city) s"
+        )
+        with pytest.raises(UnsupportedQueryError):
+            _flatten(q)
+
+
 class TestMixed:
     def test_two_subqueries(self):
         q = parse(
@@ -90,3 +104,82 @@ class TestMixed:
         q2, derived = _flatten(q)
         assert len(derived) == 2
         assert all(d.scalar for d in derived)
+
+
+def _flatten_sampled(q, sampled=("orders", "t")):
+    counter = itertools.count()
+    return flatten(
+        q,
+        columns_of=lambda t: _SCHEMAS[t],
+        fresh_view=lambda kind: f"v_{kind}_{next(counter)}",
+        sampled=lambda t: t in sampled,
+    )
+
+
+class TestWindowPath:
+    """A subquery over a sampled table of the outer FROM becomes a
+    window aggregate over that table's rows; nothing to register."""
+
+    def test_uncorrelated(self):
+        q = parse(
+            "select count(*) as c from t "
+            "where x > 1 and price > (select avg(price) as ap from t)"
+        )
+        q2, derived = _flatten_sampled(q)
+        assert derived == []
+        (w,) = q2.windows
+        assert (w.table, w.agg.fn, w.agg.expr, w.partition) == ("t", "avg", "price", None)
+        assert q2.where == f"(x > 1) AND (price > {w.column})"
+        assert q2.source == q.source and q2.subquery_filters == ()
+
+    def test_correlated_partitions_by_the_column(self):
+        q = parse(
+            "select count(*) as c from orders o "
+            "where price > (select sum(i.price) as sp from orders i "
+            "where i.city = o.city)"
+        )
+        q2, derived = _flatten_sampled(q)
+        assert derived == []
+        (w,) = q2.windows
+        # the window sits on the outer table; the inner qualifier is gone
+        assert (w.table, w.agg.expr, w.partition) == ("o", "price", "city")
+        assert q2.source.joins == ()
+
+    def test_count_star(self):
+        q = parse(
+            "select count(*) as c from t "
+            "where x < (select count(*) as n from t)"
+        )
+        q2, derived = _flatten_sampled(q)
+        assert derived == [] and q2.windows[0].agg.fn == "count"
+
+    @pytest.mark.parametrize("sql, sampled", [
+        # no sample of the subquery's table
+        ("select count(*) as c from t "
+         "where price > (select avg(price) as a from t)", ()),
+        # another table
+        ("select count(*) as c from t "
+         "where price > (select avg(o_totalprice) as a from orders)", ("orders", "t")),
+        # an inner filter besides the correlation
+        ("select count(*) as c from t "
+         "where price > (select avg(price) as a from t where x > 3)", ("t",)),
+        # not a sum of Horvitz–Thompson terms
+        ("select count(*) as c from t "
+         "where price > (select max(price) as a from t)", ("t",)),
+        ("select count(*) as c from t "
+         "where price > (select percentile(price, 0.5) as a from t)", ("t",)),
+        # correlated on another column of the same table
+        ("select count(*) as c from orders o where price > "
+         "(select avg(price) as a from orders i where i.city = o.o_id)", ("orders",)),
+    ])
+    def test_derived_view_kept(self, sql, sampled):
+        q2, derived = _flatten_sampled(parse(sql), sampled)
+        assert len(derived) == 1 and q2.windows == ()
+
+    def test_table_twice_in_outer_from(self):
+        q = parse(
+            "select count(*) as c from orders a inner join orders b on o_id = o_id "
+            "where price > (select avg(price) as ap from orders)"
+        )
+        q2, derived = _flatten_sampled(q)
+        assert len(derived) == 1 and q2.windows == ()

@@ -10,16 +10,26 @@ import time
 import pytest
 
 import repro.core.verdict as verdict_mod
-from repro.core.catalog import HASHED, UNIFORM
+from repro.core.catalog import HASHED, UNIFORM, SampleCatalog
 from repro.core.estimators import ApproxResult
 from repro.core.parser import parse
-from repro.core.planner import PlanEntry, broadcast_tables
+from repro.core.planner import Plan, PlanEntry, broadcast_tables
 from repro.core.rewriter import rewrite_flat, rewrite_nested
 from repro.core.verdict import VerdictContext
 from repro.workloads.insta import INSTA_QUERIES
 from repro.workloads.tpch_lite import TPCH_QUERIES
 
 _TPCH = {w.name: w.sql for w in TPCH_QUERIES}
+
+#: comparison subqueries over another table than the outer query's:
+#: flattening answers them from an exact derived view
+_CROSS_TABLE = (
+    "select sum(l_extendedprice) as rev from lineitem "
+    "where l_extendedprice > (select avg(p_retailprice) from part)",
+    "select count(*) as c, sum(l_extendedprice) as rev from lineitem l "
+    "where l_extendedprice > (select avg(p_retailprice) from part p "
+    "where p.p_partkey = l.l_partkey)",
+)
 
 # queries whose smallest per-group sample support at SF=0.01 makes a
 # tight relative check meaningless; they still must run and be covered
@@ -139,34 +149,19 @@ class TestFacadeBehaviour:
         res = verdict.sql(_TPCH["tq-1"], accuracy=0.5, seed=3)
         assert res.approx, res.fallback_reason
         plain = verdict.sql(_TPCH["tq-1"], seed=3)
-        sc = spark.sparkContext
+        got, jobs = _jobs(spark, "hac-result", res.df)
+        assert jobs == 0
+        assert sorted(map(tuple, got)) == sorted(map(tuple, plain.df.collect()))
 
-        def collect_in(group, df):
-            sc.setJobGroup(group, group)
-            try:
-                return df.collect()
-            finally:
-                sc.setLocalProperty("spark.jobGroup.id", None)
-
-        got = collect_in("hac-result", res.df)
-        want = collect_in("hac-control", plain.df)
-        # listener events arrive in order: once the control's job shows,
-        # any job of the earlier collect has shown too
-        tracker = sc.statusTracker()
-        deadline = time.monotonic() + 10
-        while not tracker.getJobIdsForGroup("hac-control"):
-            assert time.monotonic() < deadline, "control job never seen"
-            time.sleep(0.05)
-        assert tracker.getJobIdsForGroup("hac-result") == []
-        assert sorted(map(tuple, got)) == sorted(map(tuple, want))
-
-    def test_derived_views_dropped(self, spark, verdict):
+    def test_derived_views_dropped(self, spark, verdict, monkeypatch):
         """Long sessions: the views that flattening registers for a
         comparison subquery do not outlive the query."""
-        for name in ("tq-17", "tq-corr") * 2:
-            res = verdict.sql(_TPCH[name], seed=4)
+        derived = _spy_flatten(monkeypatch)
+        for text in _CROSS_TABLE * 2:
+            res = verdict.sql(text, seed=4)
             assert res.approx, res.fallback_reason
-            _check_against_exact(res, spark.sql(_TPCH[name]), name in _LOOSE)
+            _check_against_exact(res, spark.sql(text), False)
+        assert derived == [1] * 4
         left = [
             t.name for t in spark.catalog.listTables()
             if t.name.startswith(("verdict_scalar_sub_", "verdict_flat_sub_"))
@@ -382,6 +377,43 @@ def _spy_rewrites(monkeypatch, **force) -> list[str]:
     return sqls
 
 
+def _spy_flatten(monkeypatch) -> list[int]:
+    """Record how many derived views each ``flatten`` call returns."""
+    counts: list[int] = []
+
+    def spy(*args, _orig=verdict_mod.flatten, **kw):
+        out = _orig(*args, **kw)
+        counts.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(verdict_mod, "flatten", spy)
+    return counts
+
+
+def _jobs(spark, group: str, df) -> tuple[list, int]:
+    """Collect ``df`` under job group ``group``: its rows and the number
+    of Spark jobs the collect ran."""
+    sc = spark.sparkContext
+
+    def collect_in(name, frame):
+        sc.setJobGroup(name, name)
+        try:
+            return frame.collect()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+
+    rows = collect_in(group, df)
+    collect_in(group + "-control", spark.range(8).selectExpr("sum(id)"))
+    # listener events arrive in order: once the control's job shows,
+    # every job of the earlier collect has shown too
+    tracker = sc.statusTracker()
+    deadline = time.monotonic() + 10
+    while not tracker.getJobIdsForGroup(group + "-control"):
+        assert time.monotonic() < deadline, "control job never seen"
+        time.sleep(0.05)
+    return rows, len(tracker.getJobIdsForGroup(group))
+
+
 def _same_rows(got, want) -> bool:
     def key(row):
         return repr(tuple(v for v in row if not isinstance(v, float)))
@@ -428,10 +460,12 @@ class TestBroadcastJoins:
             return engine_sql(self, text, *args, **kwargs)
 
         monkeypatch.setattr(type(spark), "sql", spy)
-        for _ in range(2):
-            res = fresh.sql(_TPCH["tq-corr"], seed=4)
+        derived = _spy_flatten(monkeypatch)
+        for text in _CROSS_TABLE * 2:
+            res = fresh.sql(text, seed=4)
             assert res.approx, res.fallback_reason
-            _check_against_exact(res, verdict.exact(_TPCH["tq-corr"]), True)
+            _check_against_exact(res, verdict.exact(text), False)
+        assert derived == [1] * 4
         counts = re.compile(r"^SELECT count\(\*\) AS \w+ FROM verdict_", re.I)
         assert not [t for t in issued if counts.search(t)]
         assert not [t for t in fresh._base_rows if t.startswith("verdict_")]
@@ -450,3 +484,96 @@ class TestBroadcastJoins:
             read.clear()
             assert verdict.sql(_TPCH[name], seed=2).approx
             assert read and len(read) == len(set(read)), (name, read)
+
+
+#: Spark jobs of each window-path workload query: one stage over the
+#: one-partition sample, plus the broadcast of part for tq-17
+_WINDOW_PATH = {"tq-17": 2, "tq-18": 1, "tq-corr": 1}
+
+
+class TestWindowPath:
+    """Same-table comparison subqueries are window aggregates over the
+    outer query's own sample: no derived view, no base-table scan."""
+
+    @pytest.mark.parametrize("name", sorted(_WINDOW_PATH))
+    def test_reads_only_the_sample(self, spark, verdict, monkeypatch, name):
+        derived = _spy_flatten(monkeypatch)
+        sqls = _spy_rewrites(monkeypatch)
+        res = verdict.sql(_TPCH[name], seed=4)
+        assert res.approx, res.fallback_reason
+        assert derived == [0]
+        (sql,) = sqls
+        assert " OVER (" in sql
+        assert not re.search(r"\b(FROM|JOIN)\s+(lineitem|orders)\b", sql, re.I), sql
+        assert not re.search(r"verdict_\w+_sub_", sql), sql
+        rows, jobs = _jobs(spark, f"window-{name}", res.df)
+        assert rows and jobs == _WINDOW_PATH[name]
+        plan = res.df._jdf.queryExecution().executedPlan().toString()
+        assert not _SHUFFLE.search(plan), plan
+
+    def test_exact_extreme_part_passes_through(self, spark, verdict):
+        """min/max run exactly; a window never runs over a base table,
+        so the user's query passes through with its reason."""
+        text = (
+            "select min(o_totalprice) as lo, count(*) as c from orders "
+            "where o_totalprice > (select avg(o_totalprice) from orders)"
+        )
+        res = verdict.sql(text, seed=4)
+        assert not res.approx and "orders's sample" in res.fallback_reason
+        assert res.df.collect() == spark.sql(text).collect()
+
+    def test_unsampled_window_table_passes_through(self, spark, verdict, monkeypatch):
+        """A plan that reads the window's table from the base table
+        makes the query pass through, with its reason."""
+        text = (
+            "select count(*) as c from lineitem inner join orders "
+            "on l_orderkey = o_orderkey "
+            "where o_totalprice > (select avg(o_totalprice) from orders)"
+        )
+        uni = verdict.catalog.find("lineitem", UNIFORM)[0]
+
+        def plan(q, *args, **kw):
+            entry = PlanEntry(q.aggs, (("lineitem", uni), ("orders", None)))
+            return Plan(entries=(entry,), score=1.0, cost=uni.rows)
+
+        monkeypatch.setattr(verdict_mod, "plan_query", plan)
+        res = verdict.sql(text, seed=4)
+        assert not res.approx and "needs its sample" in res.fallback_reason
+        assert res.df.collect() == spark.sql(text).collect()
+
+
+class TestProbesInTheCatalog:
+    def test_contexts_sharing_a_catalog_probe_once(self, spark, verdict, monkeypatch):
+        """Cardinality-probe results live in the catalog: a second
+        context over it probes nothing, and ``clear()`` forgets them."""
+        metas = [m for t in verdict.catalog.tables() for m in verdict.catalog.for_table(t)]
+        catalog = SampleCatalog()
+        for m in metas:
+            catalog.add(m)
+
+        def context():
+            ctx = VerdictContext(spark, budget=verdict.budget, seed=7)
+            ctx.catalog = catalog
+            return ctx
+
+        issued = []
+        engine_sql = type(spark).sql
+
+        def spy(self, text, *args, **kwargs):
+            issued.append(text)
+            return engine_sql(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(type(spark), "sql", spy)
+
+        def probes(ctx) -> int:
+            issued.clear()
+            assert ctx.sql(_TPCH["tq-1"], seed=3).approx
+            assert not ctx.sql(_TPCH["tq-3"], seed=3).approx
+            return sum("approx_count_distinct" in t for t in issued)
+
+        assert probes(context()) > 0
+        assert probes(context()) == 0
+        catalog.clear()
+        for m in metas:
+            catalog.add(m)
+        assert probes(context()) > 0
