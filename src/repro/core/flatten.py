@@ -5,16 +5,21 @@ its subquery in one of two ways:
 
 * **window path**: when ``t`` appears once in the outer FROM and has a
   sample, the subquery has no predicate besides the correlation
-  equality (which matches a column of the outer ``t`` with itself) and
-  its aggregate is count, sum or avg, the subquery becomes a
+  equality (which matches a column of the outer ``t`` with itself, and
+  no other outer table has that column) and its aggregate is count,
+  sum or avg, the subquery becomes a
   :class:`~repro.core.query.WindowAgg`: the rewriter computes it over
   the sample rows of ``t`` as a Horvitz–Thompson window aggregate
   (``PARTITION BY c``, or ``OVER ()`` when uncorrelated), before the
   outer WHERE and joins, and the outer predicate compares against that
   column. The row itself is in its own partition, so every correlation
-  value an outer row carries has a subquery value;
+  value an outer row carries has a subquery value. A correlated
+  subquery takes this path only when every sample of ``t`` holds few
+  distinct values of ``c``: a partition of one or two sample rows is
+  mostly the outer row itself, which would bias the comparison;
 * **derived view**: every other subquery (another table, extra inner
-  filters, min/max/quantile, a table without samples) becomes a
+  filters, min/max/quantile, a table without samples, a correlation
+  column with many values in a sample) becomes a
   derived table the caller registers as a view and computes exactly:
   a join with the per-correlation-value aggregate (correlated case) or
   a scalar-subquery predicate over a one-row view (uncorrelated case).
@@ -51,7 +56,8 @@ class DerivedView:
 
 def _window_table(
     outer: Relation, inner: AggQuery, corr: tuple[str, str] | None,
-    sampled: Callable[[str], bool],
+    windowable: Callable[[str, str | None], bool],
+    columns_of: Callable[[str], list[str]],
 ) -> TableRef | None:
     """The outer table whose own rows answer subquery ``inner`` as a
     window aggregate, or None when ``inner`` needs a derived view."""
@@ -61,13 +67,19 @@ def _window_table(
         and inner.aggs[0].fn in ("count", "sum", "avg")  # Horvitz–Thompson sums
         and not (inner.where or inner.groups or inner.having or inner.order_by)
         and inner.limit is None and not inner.subquery_filters
-        and sampled(src.first.name)
     ):
         return None
-    if corr is not None and corr[0] != corr[1]:
-        return None  # the outer row's value is not its own partition key
     same = [t for t in outer.tables if t.name == src.first.name]
-    return same[0] if len(same) == 1 else None
+    if len(same) != 1:
+        return None
+    if corr is not None and (
+        corr[0] != corr[1]  # the outer row's value is not its own partition key
+        # the outer column may belong to another outer table: the parser
+        # keeps bare names, so only a column no other table has is sure
+        or any(corr[1] in columns_of(t.name) for t in outer.tables if t is not same[0])
+    ):
+        return None
+    return same[0] if windowable(src.first.name, corr and corr[0]) else None
 
 
 def flatten(
@@ -75,7 +87,7 @@ def flatten(
     *,
     columns_of: Callable[[str], list[str]],
     fresh_view: Callable[[str], str],
-    sampled: Callable[[str], bool] = lambda table: False,
+    windowable: Callable[[str, str | None], bool] = lambda table, column: False,
 ) -> tuple[AggQuery, list[DerivedView]]:
     """Remove ``q.subquery_filters`` by flattening into window
     aggregates, joins and views.
@@ -83,9 +95,11 @@ def flatten(
     Returns the rewritten query (no subquery filters left; window-path
     subqueries in ``windows``) and the list of derived views to
     register. ``columns_of`` resolves which side of a correlated
-    equality belongs to the subquery's table; ``sampled`` tells whether
-    the catalog holds a sample of a table (by default none does, so
-    every subquery gets a derived view).
+    equality belongs to the subquery's table. ``windowable(table,
+    column)`` tells whether the samples of ``table`` can answer a window
+    partitioned by ``column`` (None: uncorrelated), i.e. the catalog
+    holds a sample of it and each sample has few distinct values of the
+    column; by default none can, so every subquery gets a derived view.
     """
     src = q.source
     while isinstance(src, AggQuery):
@@ -117,7 +131,7 @@ def flatten(
                 raise UnsupportedQueryError(
                     f"correlation columns {a!r}/{b!r} not found in {inner_ref.name}"
                 )
-        target = _window_table(q.source, inner, corr, sampled)
+        target = _window_table(q.source, inner, corr, windowable, columns_of)
         if target is not None:
             # the window reads the outer table's rows: drop the
             # subquery's own qualifier from its argument

@@ -132,7 +132,8 @@ def _vt_sql(
 
     ``windows``: flattened comparison subqueries, each computed as a
     window over all sample rows of its table, before ``where`` and the
-    joins; a window never runs over a base table.
+    joins. The caller assigns each window's table a sample: a base
+    table gets no window column.
     """
     sub_sqls: list[str] = []
     sid_cols: list[str] = []
@@ -143,17 +144,12 @@ def _vt_sql(
         meta = assignment.get(tref.name)
         cols = ", ".join(columns_of(tref.name))
         ident = tref.ident
+        if meta is None:
+            sub_sqls.append(f"(SELECT {cols} FROM {tref.name}) {ident}")
+            continue
         wins = "".join(
             f", {_window_sql(w)} AS {w.column}" for w in windows if w.table == ident
         )
-        if meta is None:
-            if wins:
-                raise UnsupportedQueryError(
-                    f"comparison subquery over {ident} needs its sample, "
-                    "but the plan reads the base table"
-                )
-            sub_sqls.append(f"(SELECT {cols} FROM {tref.name}) {ident}")
-            continue
         if meta.stype == HASHED:
             sid = sid_hash_expr(meta.columns, b)
             sub_sqls.append(

@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from . import sampling
-from .catalog import SampleCatalog
+from .catalog import SampleCatalog, SampleMeta
 from .estimators import ApproxResult
 from .flatten import flatten
 from .parser import UnsupportedQueryError, parse
@@ -213,16 +213,29 @@ class VerdictContext:
             ).collect()[0]["n"]
         return self._base_rows[table]
 
-    def _exact_df(self, q: AggQuery) -> DataFrame:
-        if q.windows:
-            # over a base table, OVER () would pull the whole table
-            # into one partition: pass the user's query through instead
-            raise UnsupportedQueryError(
-                "a comparison subquery answered from "
-                f"{', '.join(sorted({w.table for w in q.windows}))}'s sample "
-                "meets a part the plan answers exactly"
-            )
-        return self.spark.sql(exact_sql(q))
+    def _distinct(self, meta: SampleMeta, cols: tuple[str, ...]) -> int:
+        """Distinct count of ``cols`` in sample ``meta``, probed on the
+        (cached) sample view once per catalog."""
+        return self.catalog.distinct_count(
+            meta.view, cols,
+            lambda: self.spark.sql(
+                f"SELECT approx_count_distinct(struct({', '.join(cols)})) AS d "
+                f"FROM {meta.view}"
+            ).collect()[0]["d"],
+        )
+
+    def _few_values(self, meta: SampleMeta, cols: tuple[str, ...]) -> bool:
+        """Whether ``meta``'s rows spread over few enough ``cols`` values
+        that each value keeps several sample rows (Section 6.2)."""
+        return self._distinct(meta, cols) <= GROUP_CARDINALITY_LIMIT * max(meta.rows, 1)
+
+    def _windowable(self, table: str, column: str | None) -> bool:
+        """Whether every sample of ``table`` can answer a window
+        partitioned by ``column``: the planner may pick any of them."""
+        metas = self.catalog.for_table(table)
+        return bool(metas) and (
+            column is None or all(self._few_values(m, (column,)) for m in metas)
+        )
 
     def _answer(
         self, q: AggQuery, *, budget: float, confidence: float, seed: int | None,
@@ -233,14 +246,16 @@ class VerdictContext:
         # 1. flatten comparison subqueries. One over a sampled table of
         #    the outer FROM becomes a window aggregate the rewriter
         #    computes over that table's sample rows, so the query reads
-        #    no base table for it. Every other one becomes a derived view
+        #    no base table for it; a correlated one needs few values of
+        #    its column in every sample, so that each partition holds
+        #    more than the outer row. Every other one becomes a derived view
         #    computed exactly here (a conservative variant of §2.2 that
         #    keeps approximation error out of those filters).
         q, derived = flatten(
             q,
             columns_of=columns_of,
             fresh_view=lambda kind: f"verdict_{kind}_{next(_derived_counter)}",
-            sampled=lambda table: bool(self.catalog.for_table(table)),
+            windowable=self._windowable,
         )
         for dv in derived:
             df = self.spark.sql(exact_sql(dv.query))
@@ -281,6 +296,17 @@ class VerdictContext:
             raise UnsupportedQueryError(
                 "no sample combination within the I/O budget"
             )
+        # a window runs over its table's sample in every part: over the
+        # base table, OVER () would pull the whole table into one task
+        idents = {w.table for w in q.windows}
+        for t in q.base_tables():
+            if t.ident in idents and (
+                extreme or any(e.tables.get(t.name) is None for e in plan.entries)
+            ):
+                raise UnsupportedQueryError(
+                    f"a comparison subquery over {t.ident} needs its sample, "
+                    "but the plan answers a part from the base table"
+                )
 
         # Section 6.2: AQP is infeasible when the grouping attributes are
         # near-unique — each group would get a handful of sample tuples
@@ -303,17 +329,11 @@ class VerdictContext:
                     ]
                     if not probe_cols:
                         continue
-                    d = self.catalog.distinct_count(
-                        meta.view, tuple(probe_cols),
-                        lambda: self.spark.sql(
-                            f"SELECT approx_count_distinct(struct("
-                            f"{', '.join(probe_cols)})) AS d FROM {meta.view}"
-                        ).collect()[0]["d"],
-                    )
-                    if d > GROUP_CARDINALITY_LIMIT * max(meta.rows, 1):
+                    cols = tuple(probe_cols)
+                    if not self._few_values(meta, cols):
                         raise UnsupportedQueryError(
-                            f"grouping cardinality {d} too high for sample "
-                            f"{meta.view} ({meta.rows} rows)"
+                            f"grouping cardinality {self._distinct(meta, cols)} too "
+                            f"high for sample {meta.view} ({meta.rows} rows)"
                         )
 
         # 4. rewrite + execute each consolidated plan entry. With
@@ -334,7 +354,7 @@ class VerdictContext:
                 q_mean, aggs=entry.aggs, order_by=None, limit=None
             )
             if not entry.uses_sampling:
-                df = self._exact_df(part)
+                df = self.spark.sql(exact_sql(part))
                 outs = tuple(AggOutput(a.alias, None) for a in entry.aggs)
             else:
                 rewriter = rewrite_nested if q_mean.nested else rewrite_flat
@@ -353,8 +373,8 @@ class VerdictContext:
         # 5. exact part for extreme statistics, if any (decomposition of
         #    Section 2.2: min/max are never approximated)
         if extreme:
-            df = self._exact_df(
-                replace(q, aggs=extreme, order_by=None, limit=None)
+            df = self.spark.sql(
+                exact_sql(replace(q, aggs=extreme, order_by=None, limit=None))
             )
             entry_results.append(
                 (df, tuple(AggOutput(a.alias, None) for a in extreme))

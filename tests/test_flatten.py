@@ -10,6 +10,7 @@ from repro.core.query import Relation
 _SCHEMAS = {
     "orders": ["o_id", "city", "price", "o_orderpriority", "o_totalprice"],
     "t": ["x", "price", "city"],
+    "u": ["u_k", "city"],
 }
 
 
@@ -106,13 +107,19 @@ class TestMixed:
         assert all(d.scalar for d in derived)
 
 
-def _flatten_sampled(q, sampled=("orders", "t")):
+def _flatten_sampled(q, sampled=("orders", "t"), asked=None):
     counter = itertools.count()
+
+    def windowable(table, column):
+        if asked is not None:
+            asked.append((table, column))
+        return table in sampled
+
     return flatten(
         q,
         columns_of=lambda t: _SCHEMAS[t],
         fresh_view=lambda kind: f"v_{kind}_{next(counter)}",
-        sampled=lambda t: t in sampled,
+        windowable=windowable,
     )
 
 
@@ -175,6 +182,39 @@ class TestWindowPath:
     def test_derived_view_kept(self, sql, sampled):
         q2, derived = _flatten_sampled(parse(sql), sampled)
         assert len(derived) == 1 and q2.windows == ()
+
+    def test_asks_for_the_partition_column(self):
+        """Whether the samples hold few values of the correlation column
+        is the caller's answer; a no keeps the derived view."""
+        q = parse(
+            "select count(*) as c from orders o "
+            "where price > (select avg(i.price) as a from orders i "
+            "where i.city = o.city) "
+            "and price > (select avg(price) as b from orders)"
+        )
+        asked = []
+        q2, derived = _flatten_sampled(q, sampled=(), asked=asked)
+        assert asked == [("orders", "city"), ("orders", None)]
+        assert len(derived) == 2 and q2.windows == ()
+
+    def test_outer_column_of_another_table(self):
+        """Two outer tables share the correlation column's name: the
+        bare name may be u's city, so the derived view keeps it."""
+        sql = (
+            "select count(*) as c from t inner join u on x = u_k "
+            "where price > (select avg(i.price) as a from t i where i.city = u.city)"
+        )
+        q2, derived = _flatten_sampled(parse(sql), ("t",))
+        assert len(derived) == 1 and q2.windows == ()
+        # without a second city, the equality matches t's own column
+        schemas = dict(_SCHEMAS, u=["u_k"])
+        q2, derived = flatten(
+            parse(sql.replace("u.city", "t.city")),
+            columns_of=lambda t: schemas[t],
+            fresh_view=lambda kind: f"v_{kind}",
+            windowable=lambda t, c: True,
+        )
+        assert derived == [] and q2.windows[0].partition == "city"
 
     def test_table_twice_in_outer_from(self):
         q = parse(

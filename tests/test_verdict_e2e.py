@@ -6,6 +6,7 @@ tolerances."""
 import math
 import re
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -511,6 +512,42 @@ class TestWindowPath:
         plan = res.df._jdf.queryExecution().executedPlan().toString()
         assert not _SHUFFLE.search(plan), plan
 
+    def test_many_valued_correlation_keeps_the_derived_view(
+        self, spark, verdict, monkeypatch
+    ):
+        """The uniform sample holds about one order per customer: a
+        window over o_custkey would compare most rows with their own
+        price, and every subsample would share that biased threshold.
+        The subquery keeps its exact derived view, so the answer over
+        the uniform sample stays within its error bar of the engine's."""
+        text = (
+            "select count(*) as c from orders o "
+            "where o_totalprice > (select avg(i.o_totalprice) from orders i "
+            "where i.o_custkey = o.o_custkey)"
+        )
+        (want,) = spark.sql(text).collect()
+        derived = _spy_flatten(monkeypatch)
+        sqls = _spy_rewrites(monkeypatch)
+        res = verdict.sql(text, seed=4)
+        assert res.approx, res.fallback_reason
+        assert derived == [1] and " OVER (" not in sqls[-1]
+        _check_against_exact(res, spark.sql(text), False)
+
+        uni = verdict.catalog.find("orders", UNIFORM)[0]
+
+        def on_uniform(q, *args, _orig=verdict_mod.plan_query, **kw):
+            plan = _orig(q, *args, **kw)
+            return replace(plan, entries=tuple(
+                replace(e, assignment=tuple(
+                    (t, uni if t == "orders" else m) for t, m in e.assignment
+                ))
+                for e in plan.entries
+            ))
+
+        monkeypatch.setattr(verdict_mod, "plan_query", on_uniform)
+        (got,) = verdict.sql(text, seed=4).df.collect()
+        assert abs(got["c"] - want["c"]) <= got["c_err"], (got, want)
+
     def test_exact_extreme_part_passes_through(self, spark, verdict):
         """min/max run exactly; a window never runs over a base table,
         so the user's query passes through with its reason."""
@@ -519,7 +556,7 @@ class TestWindowPath:
             "where o_totalprice > (select avg(o_totalprice) from orders)"
         )
         res = verdict.sql(text, seed=4)
-        assert not res.approx and "orders's sample" in res.fallback_reason
+        assert not res.approx and "needs its sample" in res.fallback_reason
         assert res.df.collect() == spark.sql(text).collect()
 
     def test_unsampled_window_table_passes_through(self, spark, verdict, monkeypatch):
