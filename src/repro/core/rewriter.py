@@ -298,10 +298,16 @@ def _pieces(
 ) -> _AggPieces:
     e = _arg(agg)
     ht_sum, ht_cnt = _ht(agg)
-    if agg.fn in ("count", "sum"):
-        raw = ht_cnt if agg.fn == "count" else ht_sum
+    if agg.fn == "count":
+        # a subsample or a query without a counted row counts 0, not NULL
+        raw = f"coalesce({ht_cnt}, 0)"
         return _combined(
-            k, _scale(raw, b), z, extra=(f"{raw} AS raw_{k}",), final=f"sum(raw_{k})"
+            k, _scale(raw, b), z, extra=(f"{raw} AS raw_{k}",),
+            final=f"coalesce(sum(raw_{k}), 0)",
+        )
+    if agg.fn == "sum":
+        return _combined(
+            k, _scale(ht_sum, b), z, extra=(f"{ht_sum} AS raw_{k}",), final=f"sum(raw_{k})"
         )
     if agg.fn == "avg":
         return _combined(

@@ -202,7 +202,7 @@ def create_stratified_sample(
     rand = f"rand({seed})" if seed is not None else "rand()"
     sql = (
         f"SELECT * FROM ("
-        f"  SELECT t1.*, {case} AS verdict_prob"
+        f"  SELECT t1.*, CAST({case} AS DOUBLE) AS verdict_prob"
         f"  FROM {table} t1 INNER JOIN {temp_view} t2 ON {on}"
         f") WHERE {rand} < verdict_prob"
     )

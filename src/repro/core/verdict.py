@@ -4,9 +4,11 @@
 of Figure 2: parse -> flatten comparison subqueries -> split off extreme
 statistics -> plan samples under the I/O budget -> rewrite -> execute on
 the engine -> assemble the approximate answer with error estimates.
-Unsupported queries are passed to the engine unchanged (no speedup, no
-error), and a HAC accuracy violation triggers an exact rerun
-(Section 2.4).
+Unsupported queries, and rewrites the engine cannot analyse, are passed
+to the engine unchanged (no speedup, no error), and a HAC accuracy
+violation triggers an exact rerun (Section 2.4). An approximate answer
+is executed once, inside :meth:`VerdictContext.sql`, and returned as a
+local relation.
 
 All data-touching work is SQL text executed via ``spark.sql`` — the
 middleware itself only ever manipulates result sets (the Answer
@@ -14,12 +16,14 @@ Rewriter's job) and metadata.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import time
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Iterator
 
+from pyspark.errors import AnalysisException
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -37,6 +41,44 @@ _derived_counter = itertools.count()
 #: AQP is declared infeasible when the grouping attributes' distinct
 #: count exceeds this fraction of the sample size (Section 6.2 behaviour)
 GROUP_CARDINALITY_LIMIT = 0.2
+
+#: the session settings that make Spark interpret a plan instead of
+#: compiling it: whole-stage code generation off, and every expression
+#: evaluated by its interpreted form (``factoryMode`` is internal)
+_NO_CODEGEN = {
+    "spark.sql.codegen.wholeStage": "false",
+    "spark.sql.codegen.factoryMode": "NO_CODEGEN",
+}
+
+
+@contextlib.contextmanager
+def _interpreted(spark: SparkSession, on: bool) -> Iterator[None]:
+    """Execute without code generation inside the block when ``on``.
+
+    Over a few thousand sample rows, interpreting a plan costs less than
+    compiling it, and Spark's code cache is too small to keep the
+    classes of a session's queries between calls (DESIGN.md). The
+    caller's settings are back when the block ends, however it ends.
+    """
+    if not on:
+        yield
+        return
+    saved = {k: spark.conf.get(k, None) for k in _NO_CODEGEN}
+    for k, v in _NO_CODEGEN.items():
+        spark.conf.set(k, v)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                spark.conf.unset(k)
+            else:
+                spark.conf.set(k, v)
+
+
+def _one_task(meta: SampleMeta) -> bool:
+    """Whether sample ``meta``'s view is read by a single scan task."""
+    return sampling.view_partitions(meta.rows, meta.base_rows, meta.base_partitions) == 1
 
 
 def _apply_order_limit(df: DataFrame, order_by: str, limit: int | None) -> DataFrame:
@@ -150,21 +192,14 @@ class VerdictContext:
 
         ``accuracy`` is the optional HAC requirement of Section 2.4
         (e.g. 0.99 = answers within +-1%); a violation triggers an exact
-        rerun on the base tables.
+        rerun on the base tables. An approximate answer has run by the
+        time this returns, and ``latency_sec`` includes its execution.
         """
         confidence = confidence if confidence is not None else self.confidence
         t0 = time.perf_counter()
         try:
             q = parse(query_text)
-        except UnsupportedQueryError as e:
-            df = self.spark.sql(query_text)
-            return ApproxResult(
-                df=df, outputs=(), approx=False,
-                fallback_reason=f"unsupported: {e}",
-                latency_sec=time.perf_counter() - t0,
-            )
-        try:
-            res = self._answer(
+            res, interpreted = self._answer(
                 q, budget=budget if budget is not None else self.budget,
                 confidence=confidence, seed=seed if seed is not None else self.seed,
                 # each table's columns are read once per call; a table
@@ -172,18 +207,14 @@ class VerdictContext:
                 columns_of=functools.cache(lambda t: self.spark.table(t).columns),
             )
         except UnsupportedQueryError as e:
-            df = self.spark.sql(query_text)
-            res = ApproxResult(
-                df=df, outputs=(), approx=False,
-                fallback_reason=f"unsupported: {e}",
-            )
+            return self._passthrough(query_text, f"unsupported: {e}", t0)
+        except AnalysisException as e:
+            # only analysis: an error while the answer runs is raised
+            reason = str(e).strip().splitlines()[0]
+            return self._passthrough(query_text, f"rewrite not analysable: {reason}", t0)
+        # run the answer once: the HAC check and the caller read its rows
+        res.df = self._run(res.df, interpreted)
         res.latency_sec = time.perf_counter() - t0
-        if accuracy is not None and res.approx:
-            # run the query once: the HAC check and the caller read its
-            # result. A small Arrow table becomes a local relation, which
-            # Spark reads back without a job (a list of Rows would become
-            # an RDD, read by one).
-            res.df = self.spark.createDataFrame(res.df.toArrow(), res.df.schema)
         if res.violates(accuracy):
             # rerun the user's text: the parsed query has lost the
             # comparison subqueries that flatten() turned into views
@@ -197,6 +228,22 @@ class VerdictContext:
                 group_cols=tuple(g.split(".")[-1] for g in q.groups),
             )
         return res
+
+    def _passthrough(self, query_text: str, reason: str, t0: float) -> ApproxResult:
+        """The engine's own answer to ``query_text``, left unexecuted."""
+        return ApproxResult(
+            df=self.spark.sql(query_text), outputs=(), approx=False,
+            fallback_reason=reason, latency_sec=time.perf_counter() - t0,
+        )
+
+    def _run(self, df: DataFrame, interpreted: bool) -> DataFrame:
+        """Execute ``df`` once, interpreted when ``interpreted``, into a
+        local relation. A small Arrow table becomes a local relation,
+        which Spark reads back without a job (a list of Rows would
+        become an RDD, read by one)."""
+        with _interpreted(self.spark, interpreted):
+            rows = df.toArrow()
+        return self.spark.createDataFrame(rows, df.schema)
 
     def exact(self, query_text: str) -> DataFrame:
         """Run a query on the base tables, bypassing AQP (baseline)."""
@@ -215,14 +262,16 @@ class VerdictContext:
 
     def _distinct(self, meta: SampleMeta, cols: tuple[str, ...]) -> int:
         """Distinct count of ``cols`` in sample ``meta``, probed on the
-        (cached) sample view once per catalog."""
-        return self.catalog.distinct_count(
-            meta.view, cols,
-            lambda: self.spark.sql(
-                f"SELECT approx_count_distinct(struct({', '.join(cols)})) AS d "
-                f"FROM {meta.view}"
-            ).collect()[0]["d"],
-        )
+        (cached) sample view once per catalog, interpreted when that view
+        is one scan task."""
+        def probe() -> int:
+            with _interpreted(self.spark, _one_task(meta)):
+                return self.spark.sql(
+                    f"SELECT approx_count_distinct(struct({', '.join(cols)})) AS d "
+                    f"FROM {meta.view}"
+                ).collect()[0]["d"]
+
+        return self.catalog.distinct_count(meta.view, cols, probe)
 
     def _few_values(self, meta: SampleMeta, cols: tuple[str, ...]) -> bool:
         """Whether ``meta``'s rows spread over few enough ``cols`` values
@@ -240,7 +289,11 @@ class VerdictContext:
     def _answer(
         self, q: AggQuery, *, budget: float, confidence: float, seed: int | None,
         columns_of: Callable[[str], list[str]],
-    ) -> ApproxResult:
+    ) -> tuple[ApproxResult, bool]:
+        """The approximate answer to ``q`` and whether it reads only
+        relations of one scan task each. The answer is unexecuted, or
+        assembled from executed parts when only some parts read such
+        relations."""
         # the user's tables, without the derived views flattening adds
         base_tables = tuple(t.name for t in q.base_tables())
         # 1. flatten comparison subqueries. One over a sampled table of
@@ -276,7 +329,7 @@ class VerdictContext:
     def _approximate(
         self, q: AggQuery, base_tables: tuple[str, ...], *, budget: float,
         confidence: float, seed: int | None, columns_of: Callable[[str], list[str]],
-    ) -> ApproxResult:
+    ) -> tuple[ApproxResult, bool]:
         # 2. split off extreme statistics (min/max: computed exactly)
         extreme = tuple(a for a in q.aggs if a.fn in EXTREME)
         meanlike = tuple(a for a in q.aggs if a.fn not in EXTREME)
@@ -348,15 +401,25 @@ class VerdictContext:
             raise UnsupportedQueryError(
                 "HAVING across multiple plan entries"
             )
-        entry_results: list[tuple[DataFrame, tuple[AggOutput, ...]]] = []
+        # A part runs interpreted when it reads only one-partition
+        # samples and broadcast tables: a base table, a derived view or
+        # an exact part keeps code generation.
+        entry_results: list[tuple[DataFrame, tuple[AggOutput, ...], bool]] = []
         for entry in plan.entries:
             part = q_mean if not multi else replace(
                 q_mean, aggs=entry.aggs, order_by=None, limit=None
             )
             if not entry.uses_sampling:
+                interpreted = False
                 df = self.spark.sql(exact_sql(part))
                 outs = tuple(AggOutput(a.alias, None) for a in entry.aggs)
             else:
+                hinted = broadcast_tables(q.base_tables(), entry, base_rows)
+                tables = entry.tables
+                interpreted = all(
+                    _one_task(tables[t.name]) if tables.get(t.name) else t.ident in hinted
+                    for t in q.base_tables()
+                )
                 rewriter = rewrite_nested if q_mean.nested else rewrite_flat
                 rw = rewriter(
                     part,
@@ -364,11 +427,11 @@ class VerdictContext:
                     columns_of=columns_of,
                     confidence=confidence,
                     seed=seed,
-                    broadcast=broadcast_tables(q.base_tables(), entry, base_rows),
+                    broadcast=hinted,
                 )
                 df = self.spark.sql(rw.sql)
                 outs = rw.outputs
-            entry_results.append((df, outs))
+            entry_results.append((df, outs, interpreted))
 
         # 5. exact part for extreme statistics, if any (decomposition of
         #    Section 2.2: min/max are never approximated)
@@ -377,16 +440,27 @@ class VerdictContext:
                 exact_sql(replace(q, aggs=extreme, order_by=None, limit=None))
             )
             entry_results.append(
-                (df, tuple(AggOutput(a.alias, None) for a in extreme))
+                (df, tuple(AggOutput(a.alias, None) for a in extreme), False)
             )
+        # parts that disagree run one by one, so that a base-table part
+        # leaves the sample parts uncompiled; the assembly of their
+        # local results is then interpreted too
+        interpreted = all(f for _, _, f in entry_results)
+        if not interpreted and any(f for _, _, f in entry_results):
+            entry_results = [(self._run(d, f), o, True) for d, o, f in entry_results]
+            interpreted = True
 
-        # 6. assemble (Answer Rewriter): join partial results on groups
-        df, outputs = entry_results[0]
-        for part_df, part_outs in entry_results[1:]:
-            if groups:
-                df = df.join(part_df, on=list(groups), how="inner")
-            else:
-                df = df.crossJoin(part_df)
+        # 6. assemble (Answer Rewriter): join partial results on groups,
+        #    NULL matching NULL as GROUP BY groups it
+        df, outputs, _ = entry_results[0]
+        for part_df, part_outs, _ in entry_results[1:]:
+            left, right = df.alias("verdict_l"), part_df.alias("verdict_r")
+            on = [F.col(f"verdict_l.{g}").eqNullSafe(F.col(f"verdict_r.{g}")) for g in groups]
+            df = left.join(right, on=on, how="inner") if on else left.crossJoin(right)
+            df = df.select(
+                *[F.col(f"verdict_l.{c}") for c in left.columns],
+                *[F.col(f"verdict_r.{c}") for c in right.columns if c not in groups],
+            )
             outputs = outputs + part_outs
         # restore the user's aggregate order
         order = {a.alias: i for i, a in enumerate(q.aggs)}
@@ -405,4 +479,4 @@ class VerdictContext:
             confidence=confidence,
             plan=plan,
             group_cols=groups,
-        )
+        ), interpreted

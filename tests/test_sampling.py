@@ -199,6 +199,19 @@ class TestViewLayout:
             want = spark.sql(fingerprint.format(cached_view(m.view))).collect()[0]
             assert got == want and got["n"] == m.rows, m.view
 
+    @pytest.mark.parametrize("stype", [UNIFORM, HASHED, STRATIFIED])
+    def test_prob_column_is_double(self, spark, verdict, stype):
+        """Every sample type stores ``verdict_prob`` as DOUBLE, so the
+        Horvitz-Thompson sums run in floating point; the stratified
+        staircase's CASE of decimal literals would make it a decimal."""
+        metas = [
+            m for t in verdict.catalog.tables() for m in verdict.catalog.for_table(t)
+            if m.stype == stype
+        ]
+        assert metas
+        for m in metas:
+            assert dict(spark.table(m.view).dtypes)["verdict_prob"] == "double", m.view
+
     def test_drop_frees_everything_a_build_cached(self, spark, tpch):
         from repro.core.verdict import VerdictContext
         from repro.workloads.tpch_lite import prepare_tpch_samples

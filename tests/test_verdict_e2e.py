@@ -3,6 +3,7 @@ whole pipeline: parse -> flatten -> plan -> rewrite -> execute ->
 assemble). Exact-path results are validated against the DuckDB oracle;
 approximate results against exact answers with sampling-aware
 tolerances."""
+import contextlib
 import math
 import re
 import time
@@ -507,9 +508,10 @@ class TestWindowPath:
         assert " OVER (" in sql
         assert not re.search(r"\b(FROM|JOIN)\s+(lineitem|orders)\b", sql, re.I), sql
         assert not re.search(r"verdict_\w+_sub_", sql), sql
-        rows, jobs = _jobs(spark, f"window-{name}", res.df)
+        # sql() has run the answer: count the jobs of its statement
+        rows, jobs = _jobs(spark, f"window-{name}", spark.sql(sql))
         assert rows and jobs == _WINDOW_PATH[name]
-        plan = res.df._jdf.queryExecution().executedPlan().toString()
+        plan = TestSampleViewPlans._executed_plan(spark, sql)
         assert not _SHUFFLE.search(plan), plan
 
     def test_many_valued_correlation_keeps_the_derived_view(
@@ -614,3 +616,101 @@ class TestProbesInTheCatalog:
         for m in metas:
             catalog.add(m)
         assert probes(context()) > 0
+
+
+#: shapes whose every relation is a one-partition sample or a broadcast
+#: table: flat, hashed-pair join, nested, window and count-distinct
+_INTERPRETED = ("tq-1", "tq-12", "tq-nested", "tq-18", "tq-cd")
+_CODEGEN_KEYS = ("spark.sql.codegen.wholeStage", "spark.sql.codegen.factoryMode")
+
+
+def _codegen_at_execution(monkeypatch, spark) -> list[tuple[str, str]]:
+    """Record the codegen settings in force at each ``toArrow`` call,
+    where ``VerdictContext`` executes an approximate answer or a part."""
+    seen: list[tuple[str, str]] = []
+    df_cls = type(spark.range(0))
+
+    def spy(self, *args, _orig=df_cls.toArrow, **kw):
+        seen.append(tuple(spark.conf.get(k) for k in _CODEGEN_KEYS))
+        return _orig(self, *args, **kw)
+
+    monkeypatch.setattr(df_cls, "toArrow", spy)
+    return seen
+
+
+class TestInterpretedExecution:
+    """An approximate answer over one-partition samples runs once,
+    inside ``sql()``, without Janino code generation."""
+
+    def test_one_partition_answers_compile_nothing(self, spark, verdict):
+        """After a warm-up, new seeds add no compiled class: the sid
+        seed literal and the code cache's size no longer matter. tq-minmax's
+        exact part compiles, but carries no seed."""
+        compiles = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics
+        count = lambda: compiles.METRIC_COMPILATION_TIME().getCount()  # noqa: E731
+        for name in ("tq-1", "tq-nested", "tq-minmax"):
+            res = verdict.sql(_TPCH[name], seed=100)
+            for entry in res.plan.entries:
+                assert all(verdict_mod._one_task(m) for m in entry.tables.values() if m)
+            res.df.collect()
+            before = count()
+            for seed in (101, 102, 103):
+                res = verdict.sql(_TPCH[name], seed=seed)
+                assert res.approx and res.df.collect()
+            assert count() == before, name
+
+    @pytest.mark.parametrize("name", _INTERPRETED)
+    def test_rows_identical_with_codegen(self, spark, verdict, monkeypatch, name):
+        seen = _codegen_at_execution(monkeypatch, spark)
+        res = verdict.sql(_TPCH[name], seed=9)
+        assert res.approx, res.fallback_reason
+        got = res.df.collect()
+        assert seen == [("false", "NO_CODEGEN")]
+        seen.clear()
+        monkeypatch.setattr(
+            verdict_mod, "_interpreted", lambda spark, on: contextlib.nullcontext()
+        )
+        want = verdict.sql(_TPCH[name], seed=9).df.collect()
+        assert seen == [("true", "FALLBACK")]
+        assert got and got == want
+
+    def test_settings_restored(self, spark, verdict, monkeypatch):
+        """The session's settings change only while the answer runs:
+        unset ones are unset again, set ones keep their value, whether
+        ``sql()`` returns or raises."""
+        conf = spark.conf
+        assert [conf.get(k, None) for k in _CODEGEN_KEYS] == [None, None]
+        verdict.sql(_TPCH["tq-1"], seed=2)
+        assert [conf.get(k, None) for k in _CODEGEN_KEYS] == [None, None]
+        conf.set(_CODEGEN_KEYS[0], "true")
+        try:
+            verdict.sql(_TPCH["tq-1"], seed=2)
+            assert [conf.get(k, None) for k in _CODEGEN_KEYS] == ["true", None]
+
+            def fail(self, *args, **kw):
+                assert conf.get(_CODEGEN_KEYS[0]) == "false"
+                raise RuntimeError("execution failed")
+
+            monkeypatch.setattr(type(spark.range(0)), "toArrow", fail)
+            with pytest.raises(RuntimeError, match="execution failed"):
+                verdict.sql(_TPCH["tq-1"], seed=2)
+            assert [conf.get(k, None) for k in _CODEGEN_KEYS] == ["true", None]
+        finally:
+            conf.unset(_CODEGEN_KEYS[0])
+
+    def test_base_table_reads_keep_codegen(self, spark, verdict, monkeypatch):
+        """An exact min/max part reads the base table, and a passthrough
+        is left to the caller to run: both keep code generation. The
+        min/max part runs on its own, so the sample part and the
+        assembly of the two stay interpreted."""
+        seen = _codegen_at_execution(monkeypatch, spark)
+        res = verdict.sql(_TPCH["tq-minmax"], seed=2)
+        interpreted = ("false", "NO_CODEGEN")
+        assert res.approx and seen == [interpreted, ("true", "FALLBACK"), interpreted]
+        seen.clear()
+        res = verdict.sql(_TPCH["tq-3"], seed=2)
+        assert not res.approx and not seen
+        res.df.collect()
+        # a whole-stage-compiled operator prints as "*(stage id) name"
+        plan = res.df._jdf.queryExecution().executedPlan().toString()
+        assert re.search(r"\*\(\d+\) ", plan), plan
