@@ -6,23 +6,14 @@ selectivities (Fig 8a); vs other methods the gap closes as n grows —
 6.5% worse than traditional subsampling at n=100K, 4.8% at 1M, 0% at
 10M (Fig 8b).
 """
-from repro.experiments.correctness import (
-    run_sample_size_sweep,
-    run_selectivity_sweep,
-)
-from repro.experiments.report import emit
+from repro.experiments import run
 
 
-def test_selectivity_sweep(benchmark):
-    rows = benchmark.pedantic(
-        lambda: run_selectivity_sweep(trials=200, seed=606),
-        rounds=1, iterations=1,
-    )
-    emit(
-        "e5_selectivity",
-        "E5a: count-query error estimates vs selectivity (Fig 8a)",
-        rows,
-    )
+def test_correctness(benchmark):
+    tables = benchmark.pedantic(lambda: run("e5"), rounds=1, iterations=1)
+
+    # Fig 8a: count queries across selectivities
+    rows = tables["e5_selectivity"]
     for r in rows:
         # the paper: estimated errors within ~7% of groundtruth on
         # average; allow 15% for the smaller local trial count
@@ -31,21 +22,8 @@ def test_selectivity_sweep(benchmark):
     rels = [r["groundtruth_rel_err_pct"] for r in rows]
     assert all(a > b for a, b in zip(rels, rels[1:]))
 
-
-def test_sample_size_sweep(benchmark):
-    rows = benchmark.pedantic(
-        lambda: run_sample_size_sweep(
-            sizes=(100_000, 1_000_000),
-            trials_per_size={100_000: 80, 1_000_000: 20},
-            seed=607,
-        ),
-        rounds=1, iterations=1,
-    )
-    emit(
-        "e5_sample_size",
-        "E5b: avg-query error estimates, four methods (Fig 8b)",
-        rows,
-    )
+    # Fig 8b: avg queries, four methods, two sample sizes
+    rows = tables["e5_sample_size"]
     var = {r["n"]: r for r in rows if r["method"] == "variational"}
     trad = {r["n"]: r for r in rows if r["method"] == "traditional"}
     for n in (100_000, 1_000_000):

@@ -7,22 +7,13 @@ subsampling added orders of magnitude more (189x/237x/100x vs
 bootstrap; 348x vs traditional overall) — their constructions are
 O(b*n) versus O(n).
 """
-from repro.experiments.error_estimation import run_error_estimation
-from repro.experiments.report import emit
+from repro.experiments import run
 
 
-def test_error_estimation_overhead(benchmark, spark, tpch_bench):
-    def run():
-        return run_error_estimation(
-            spark, sample_ratio=1.0, hash_ratio=0.5, b=200, seed=505
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "e4_error_estimation",
-        "E4: error-estimation overhead, b=200 (Fig 7)",
-        rows,
-    )
+def test_error_estimation_overhead(benchmark, spark):
+    rows = benchmark.pedantic(
+        lambda: run("e4", spark), rounds=1, iterations=1
+    )["e4_error_estimation"]
     for shape in ("flat", "join", "nested"):
         sub = {
             r["method"]: r for r in rows

@@ -4,16 +4,13 @@ Paper reference: VerdictDB's sampling (read-mostly) is much cheaper
 than the write-heavy data transfer/load steps; SnappyData's integrated
 sampling is faster still. The local analogues keep that ordering.
 """
-from repro.experiments.report import emit
-from repro.experiments.sample_prep import run_sample_prep
+from repro.experiments import run
 
 
-def test_sample_prep(benchmark, spark, tpch_bench):
+def test_sample_prep(benchmark, spark):
     rows = benchmark.pedantic(
-        lambda: run_sample_prep(spark, table="lineitem", ratio=0.01, seed=810),
-        rounds=1, iterations=1,
-    )
-    emit("e7_sample_prep", "E7: sample prep vs data load (Fig 11)", rows)
+        lambda: run("e7", spark), rounds=1, iterations=1
+    )["e7_sample_prep"]
     by = {r["task"]: r["seconds"] for r in rows}
     load = by["data load (parquet write)"]
     # B.2 shape: each individual sampling step is cheaper than the

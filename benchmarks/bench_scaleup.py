@@ -5,18 +5,13 @@ Paper reference (Impala, 5 GB sample): ~1.4x at 50 GB, ~7x at 200 GB,
 is flat. Locally the SF sweep stands in for the size sweep; the
 monotone-growth shape is the assertion.
 """
-from repro.experiments.report import emit
-from repro.experiments.scaleup import run_scaleup
+from repro.experiments import run
 
 
 def test_scaleup(benchmark, spark):
-    def run():
-        return run_scaleup(
-            spark, sfs=(0.05, 0.2, 0.5), sample_rows=6000, seed=202
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit("e2_scaleup", "E2: speedup vs data size, fixed sample (Fig 5)", rows)
+    rows = benchmark.pedantic(
+        lambda: run("e2", spark), rounds=1, iterations=1
+    )["e2_scaleup"]
     assert all(r["approx"] for r in rows)
     # shape: the largest data size must show a larger speedup than the
     # smallest for each query

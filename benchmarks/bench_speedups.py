@@ -7,37 +7,23 @@ absolute speedups are smaller, but the shape must hold: supported
 queries are faster via VerdictDB, unsupported ones are not slower, and
 errors stay in the low percent range.
 """
-from repro.experiments.report import emit
-from repro.experiments.speedups import run_speedups, summarize
-from repro.workloads.insta import INSTA_QUERIES
-from repro.workloads.tpch_lite import TPCH_QUERIES
+from repro.experiments import run
 
 
-def test_tpch_speedups(benchmark, spark, verdict_bench):
-    def run():
-        return run_speedups(
-            spark, verdict_bench, TPCH_QUERIES, seed=101, repeats=2
-        )
+def test_speedups(benchmark, spark):
+    tables = benchmark.pedantic(
+        lambda: run("e1", spark), rounds=1, iterations=1
+    )
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    s = summarize(rows)
-    emit("e1_tpch_speedups", "E1: TPC-H-lite speedups (Fig 4/9/10)", rows)
-    emit("e1_tpch_summary", "E1 summary (paper: avg 18.45x, err < 2.6%)", [s])
+    # TPC-H-lite suite
+    rows = tables["e1_tpch_speedups"]
+    s = tables["e1_tpch_summary"][0]
     approx = [r for r in rows if r["approx"]]
     assert len(approx) >= 10
     # shape: AQP helps on average and errors are small
     assert s["avg_speedup"] > 1.0
     assert s["avg_err_pct"] < 10.0
 
-
-def test_insta_speedups(benchmark, spark, verdict_insta_bench):
-    def run():
-        return run_speedups(
-            spark, verdict_insta_bench, INSTA_QUERIES, seed=102, repeats=2
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    s = summarize(rows)
-    emit("e1_insta_speedups", "E1: instacart-lite speedups (Fig 4/9/10)", rows)
-    emit("e1_insta_summary", "E1 summary (insta suite)", [s])
+    # instacart-lite suite
+    s = tables["e1_insta_summary"][0]
     assert s["avg_speedup"] > 1.0

@@ -10,18 +10,13 @@ Paper reference (Table 2):
 The reproduced shape: VerdictDB's sampled answers are faster than the
 full-scan native sketches, with single-digit-percent error.
 """
-from repro.experiments.report import emit
-from repro.experiments.table2 import run_table2, setup_table2
+from repro.experiments import run
 
 
 def test_table2(benchmark, spark):
-    v = setup_table2(spark, sf=0.5, ratio=0.01)
-
-    def run():
-        return run_table2(spark, v, table="lineitem_t2", seed=404)
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit("table2", "Table 2: sampling-based AQP vs native approximation", rows)
+    rows = benchmark.pedantic(
+        lambda: run("t2", spark), rounds=1, iterations=1
+    )["table2"]
     by = {(r["aggregate"], r["method"].startswith("Verdict")): r for r in rows}
     for aggregate in ("count-distinct", "median"):
         vd = by[(aggregate, True)]

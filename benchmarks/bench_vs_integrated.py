@@ -5,24 +5,13 @@ significantly faster on tq-5/tq-7/tq-12/iq-14/iq-15 because the
 integrated engine cannot join two samples and reads the second relation
 in full. The assertion checks exactly that behavioural gap.
 """
-from repro.experiments.report import emit
-from repro.experiments.vs_integrated import run_vs_integrated
-from repro.workloads.tpch_lite import TPCH_QUERIES
-
-_SUBSET = tuple(
-    w for w in TPCH_QUERIES
-    if w.name in ("tq-1", "tq-4", "tq-6", "tq-5", "tq-12", "tq-median")
-)
+from repro.experiments import run
 
 
-def test_vs_integrated(benchmark, spark, verdict_bench, integrated_bench):
-    def run():
-        return run_vs_integrated(
-            spark, verdict_bench, integrated_bench, _SUBSET, seed=303
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit("e3_vs_integrated", "E3: VerdictDB vs integrated AQP (Fig 6)", rows)
+def test_vs_integrated(benchmark, spark):
+    rows = benchmark.pedantic(
+        lambda: run("e3", spark), rounds=1, iterations=1
+    )["e3_vs_integrated"]
     join2 = [r for r in rows if r["join_of_two_samples"]]
     other = [r for r in rows if not r["join_of_two_samples"]]
     assert join2 and other

@@ -1,4 +1,4 @@
-"""Result-table formatting shared by benchmarks and jobs.
+"""Result-table formatting for ``repro.experiments.run``.
 
 Every experiment returns a list of dict rows; ``render`` turns them
 into a fixed-width table that is printed and appended to

@@ -8,6 +8,7 @@ approximate answers against the exact ones (the Figure 10 quantity).
 """
 from __future__ import annotations
 
+import statistics
 import time
 
 from pyspark.sql import SparkSession
@@ -84,15 +85,20 @@ def run_speedups(
 
 
 def summarize(rows: list[dict]) -> dict:
-    sped = [r for r in rows if r["approx"]]
-    if not sped:
-        return {"avg_speedup": 0.0, "max_speedup": 0.0, "max_err_pct": 0.0}
-    errs = [r["rel_err_pct"] for r in sped if r["rel_err_pct"] is not None]
+    """Speedup and error over the approximated queries; the same keys
+    (zeros) when none was approximated. ``geomean_speedup`` is the
+    figure perfbench reports as ``exact.speedup_geomean``."""
+    sped = [r["speedup"] for r in rows if r["approx"]]
+    errs = [
+        r["rel_err_pct"] for r in rows
+        if r["approx"] and r["rel_err_pct"] is not None
+    ]
     return {
         "n_approx": len(sped),
         "n_total": len(rows),
-        "avg_speedup": sum(r["speedup"] for r in sped) / len(sped),
-        "max_speedup": max(r["speedup"] for r in sped),
-        "max_err_pct": max(errs) if errs else 0.0,
-        "avg_err_pct": sum(errs) / len(errs) if errs else 0.0,
+        "avg_speedup": statistics.fmean(sped) if sped else 0.0,
+        "geomean_speedup": statistics.geometric_mean(sped) if sped else 0.0,
+        "max_speedup": max(sped, default=0.0),
+        "max_err_pct": max(errs, default=0.0),
+        "avg_err_pct": statistics.fmean(errs) if errs else 0.0,
     }

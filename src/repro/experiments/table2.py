@@ -46,20 +46,22 @@ def _best_of(fn, repeats: int = 2):
     return out
 
 
-def setup_table2(spark: SparkSession, *, sf: float = 0.5, ratio: float = 0.01):
-    """Dedicated file-backed lineitem for the Table 2 comparison.
+def setup_table2(
+    spark: SparkSession, *, base_dir: str, sf: float = 0.5, ratio: float = 0.01
+):
+    """Dedicated file-backed lineitem (written under ``base_dir``) for the
+    Table 2 comparison.
 
     The paper runs this against 124-500 GB tables; the native sketches
     lose *because the full scan is expensive*. A dedicated larger SF
     keeps that regime visible on one machine.
     """
     import os
-    import tempfile
 
     from .. import synth_data
 
     df = synth_data.lineitem(spark, sf=sf, seed=7)
-    path = os.path.join(tempfile.mkdtemp(prefix="table2_"), "lineitem_t2")
+    path = os.path.join(base_dir, "lineitem_t2")
     df.write.mode("overwrite").option("header", True).csv(path)
     spark.read.schema(df.schema).option("header", True).csv(
         path
